@@ -112,7 +112,6 @@ def _run_total_volume(args):
             graph,
             params,
             budget=args.budget,
-            workers=args.workers,
             monte_carlo=args.monte_carlo,
             samples=args.samples,
             seed=args.seed,
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="also run the residue-class oracle")
     p.add_argument("--p", type=int, help="oracle prime")
     p.add_argument("--k", type=int, help="oracle precision")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--monte-carlo", action="store_true")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)

@@ -363,11 +363,15 @@ def strata_complex(
     times a cycle, which moves index vectors by N times that cycle, i.e. by
     a lattice translation. Scanning t over {0 .. N^2 - 1}^rank therefore
     meets every translation class; member vectors are the boxes around each
-    witness. Classes are merged by the exact lattice membership test (the
-    basis is the identity on its defining non-forest edges), adjacency scans
-    the 3^E - 1 neighbors of each representative for joint feasibility, and
-    pairs are deduplicated by translating each ordered pair so its first
-    vector becomes its class representative.
+    witness. Each fundamental cycle is the identity on its own non-forest
+    edge (chord), so a class is keyed by its canonical member, the one whose
+    chord coordinates all lie in [0, N). The displayed representative is the
+    member of least squared norm, then least lexicographically.
+
+    The joint box of rep and rep + delta, delta in {-1, 0, 1}^E, is face delta
+    of rep's box, so one max-flow per face gives both the faces and the
+    adjacency. The budget is checked against those len(nodes) * 3^E flows
+    before the first one runs.
     """
     _check_param(graph, param)
     N = param.N
@@ -406,44 +410,18 @@ def strata_complex(
             if len(raw) > cap:
                 raise BudgetExceededError(f"strata node scan exceeded budget {cap}")
 
-    def lattice_shift(a: tuple, b: tuple):
-        """Coefficients lam with b = a + N * (basis^T lam), or None.
+    def canon(vec: tuple) -> tuple:
+        """Subtract N * floor(vec[chord] / N) times each chord's cycle."""
+        out = list(vec)
+        for pos, b in zip(chord_pos, basis):
+            lam = vec[pos] // N
+            for i in range(m):
+                out[i] -= N * lam * b[i]
+        return tuple(out)
 
-        Each cycle is the unique one supported on its own non-forest edge,
-        so the shift coefficients read off directly from those coordinates.
-        """
-        lam = []
-        for pos in chord_pos:
-            d = b[pos] - a[pos]
-            if d % N:
-                return None
-            lam.append(d // N)
-        for i in range(m):
-            if a[i] + N * sum(l * basis[j][i] for j, l in enumerate(lam)) != b[i]:
-                return None
-        return lam
-
-    members = sorted(raw)
-    parent = list(range(len(members)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    buckets: dict[tuple, list[int]] = {}
-    for i, vec in enumerate(members):
-        key = tuple(vec[p] % N for p in chord_pos)
-        buckets.setdefault(key, []).append(i)
-    for group in buckets.values():
-        for a_i, b_i in itertools.combinations(group, 2):
-            if find(a_i) != find(b_i) and lattice_shift(members[a_i], members[b_i]):
-                parent[find(a_i)] = find(b_i)
-
-    classes: dict[int, list[tuple]] = {}
-    for i, vec in enumerate(members):
-        classes.setdefault(find(i), []).append(vec)
+    classes: dict[tuple, list[tuple]] = {}
+    for vec in raw:
+        classes.setdefault(canon(vec), []).append(vec)
 
     def norm2(vec: tuple) -> int:
         return sum(x * x for x in vec)
@@ -461,91 +439,50 @@ def strata_complex(
                         improved = True
         return tuple(cur)
 
-    reps = []
-    for group in classes.values():
-        cands = {descend(v) for v in group} | set(group)
-        reps.append(min(cands, key=lambda v: (norm2(v), v)))
-    reps.sort()
-
-    def class_of(vec: tuple) -> int:
-        for i, rep in enumerate(reps):
-            if lattice_shift(rep, vec) is not None:
-                return i
-        raise AssertionError("vector in no discovered class")
-
-    def joint_feasible(a: tuple, b: tuple) -> bool:
-        bounds = {}
-        for i, eid in enumerate(eids):
-            lo = N * max(a[i], b[i])
-            hi = N * (min(a[i], b[i]) + 1)
-            if lo > hi:
-                return False
-            bounds[eid] = (lo, hi)
-        return _box_flow_feasible(graph, param.eta, bounds)
-
-    def shifted(vec: tuple, lam: list) -> tuple:
-        return tuple(
-            x + N * sum(l * basis[j][i] for j, l in enumerate(lam))
-            for i, x in enumerate(vec)
-        )
-
-    def pair_key(a: tuple, b: tuple):
-        cands = []
-        for x, y in ((a, b), (b, a)):
-            cx = class_of(x)
-            lam = lattice_shift(x, reps[cx])
-            cands.append((reps[cx], shifted(y, lam)))
-        return min(cands)
-
-    adjacency: dict[tuple, tuple] = {}
-    for rep in reps:
-        for delta in itertools.product((-1, 0, 1), repeat=m):
-            if not any(delta):
-                continue
-            b = tuple(x + d for x, d in zip(rep, delta))
-            if not joint_feasible(rep, b):
-                continue
-            key = pair_key(rep, b)
-            if key not in adjacency:
-                adjacency[key] = (class_of(key[0]), class_of(key[1]), key[0], key[1])
+    reps = sorted(
+        min({descend(v) for v in group} | set(group), key=lambda v: (norm2(v), v))
+        for group in classes.values()
+    )
+    index = {canon(rep): i for i, rep in enumerate(reps)}
 
     if len(reps) * 3**m > cap:
         raise BudgetExceededError(
             f"strata face scan needs {len(reps) * 3 ** m} checks, budget is {cap}"
         )
+    # each feasible non-central face is an adjacency; the pair is stored
+    # translated so its first vector is a representative, whichever of the
+    # two ways round is smaller
     all_faces = []
-    for rep in reps:
+    pairs: set[tuple] = set()
+    for i, rep in enumerate(reps):
         feasible_faces = []
         for face in itertools.product((-1, 0, 1), repeat=m):
-            bounds = {}
-            for i, eid in enumerate(eids):
-                if face[i] < 0:
-                    bounds[eid] = (N * rep[i], N * rep[i])
-                elif face[i] > 0:
-                    bounds[eid] = (N * (rep[i] + 1), N * (rep[i] + 1))
-                else:
-                    bounds[eid] = (N * rep[i], N * (rep[i] + 1))
-            if _box_flow_feasible(graph, param.eta, bounds):
-                feasible_faces.append((face, sum(1 for x in face if x == 0)))
+            # -1: low endpoint N x, 0: segment [N x, N (x + 1)], +1: high endpoint
+            bounds = {
+                eid: (N * (x + (d > 0)), N * (x + (d >= 0)))
+                for eid, x, d in zip(eids, rep, face)
+            }
+            if not _box_flow_feasible(graph, param.eta, bounds):
+                continue
+            feasible_faces.append((face, face.count(0)))
+            if any(face):
+                b = tuple(x + d for x, d in zip(rep, face))
+                j = index[canon(b)]
+                back = tuple(x - d for x, d in zip(reps[j], face))
+                pairs.add(min((rep, b, i, j), (reps[j], back, j, i)))
         assert ((0,) * m, m) in feasible_faces
         all_faces.append(tuple(feasible_faces))
 
-    uf = list(range(len(reps)))
-
-    def ufind(i: int) -> int:
-        while uf[i] != i:
-            uf[i] = uf[uf[i]]
-            i = uf[i]
-        return i
-
-    for lo, hi, _, _ in adjacency.values():
-        uf[ufind(lo)] = ufind(hi)
-    connected = len(reps) <= 1 or len({ufind(i) for i in range(len(reps))}) == 1
+    adjacency = tuple((i, j, a, b) for a, b, i, j in sorted(pairs))
+    quotient = Multigraph(
+        [str(i) for i in range(len(reps))],
+        ((str(k), str(i), str(j)) for k, (i, j, _, _) in enumerate(adjacency)),
+    )
 
     return StrataComplex(
         edge_order=tuple(eids),
         nodes=tuple(reps),
-        adjacency=tuple(adjacency[k] for k in sorted(adjacency)),
+        adjacency=adjacency,
         faces=tuple(all_faces),
-        connected=connected,
+        connected=quotient.is_connected(),
     )

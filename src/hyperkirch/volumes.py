@@ -10,9 +10,9 @@ number of maximal spanning forests.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -181,7 +181,6 @@ def total_volume_padic_oracle(
     graph: Multigraph,
     params: LocalFieldParams,
     budget: int | None = None,
-    workers: int = 1,
     monte_carlo: bool = False,
     samples: int = 20000,
     seed: int = 0,
@@ -285,29 +284,7 @@ def total_volume_padic_oracle(
             f"oracle needs {space} residue classes, budget is {cap}"
         )
 
-    def chunk_sum(bounds: tuple) -> int:
-        lo, hi = bounds
-        total = 0
-        for index in range(lo, hi):
-            t = []
-            x = index
-            for _ in range(r):
-                t.append(x % pk)
-                x //= pk
-            total += class_value(tuple(t))
-        return total
-
-    n_chunks = max(1, min(workers, 64))
-    step = -(-space // n_chunks)
-    chunks = [(i, min(i + step, space)) for i in range(0, space, step)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_sum, chunks))
-    else:
-        partials = [chunk_sum(c) for c in chunks]
-    total = 0
-    for part in partials:
-        total += part
+    total = sum(class_value(t) for t in itertools.product(range(pk), repeat=r))
     estimate = Fraction((p - 1) ** r * total, pk**r)
     return estimate, bound
 

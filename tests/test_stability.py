@@ -1,5 +1,6 @@
 """Stability: membership, semistability vs brute force, genericity, strata."""
 
+import hashlib
 import itertools
 import random
 
@@ -26,8 +27,10 @@ from hyperkirch import (
     orbit_char_set,
     point_orbit,
     segment_orbit,
+    stability,
     strata_complex,
 )
+from hyperkirch.io import dump_json, strata_to_doc
 
 
 def test_delta_membership_frozen():
@@ -424,17 +427,20 @@ def test_strata_empty_when_no_solution():
     assert sc.connected
 
 
-def test_strata_tiling_property():
-    """Integer solutions fall in exactly one half-open box, and that box's
-    class appears among the discovered nodes."""
-    rng = random.Random(0x71E)
-    cases = [
+def _tiling_cases():
+    return [
         (theta_graph(), {"u": -1, "v": 1}, 2),
         (theta_graph(), {"u": 0, "v": 0}, 3),
         (cycle_graph(2), {"v1": 1, "v2": -1}, 2),
         (cycle_graph(3), {"v1": 1, "v2": -1, "v3": 0}, 2),
     ]
-    for g, eta, N in cases:
+
+
+def test_strata_tiling_property():
+    """Integer solutions fall in exactly one half-open box, and that box's
+    class appears among the discovered nodes."""
+    rng = random.Random(0x71E)
+    for g, eta, N in _tiling_cases():
         sc = strata_complex(g, StabilityParam(eta, N))
         eids = list(sc.edge_order)
         cycles = g.cycle_basis()
@@ -493,12 +499,77 @@ def test_strata_budget():
         strata_complex(g, StabilityParam({"u": 0, "v": 0}, 5), budget=20)
 
 
-def test_strata_connected_across_random_cases():
+def _random_strata_cases():
     rng = random.Random(0xC0FF)
     for _ in range(12):
         g = random_multigraph(rng, rng.randint(1, 3), rng.randint(1, 3))
         N = rng.randint(1, 2)
         vals = [rng.randint(-1, 1) for _ in range(len(g.vertices) - 1)]
         eta = dict(zip(sorted(g.vertices), vals + [-sum(vals)]))
+        yield g, eta, N
+
+
+def test_strata_connected_across_random_cases():
+    for g, eta, N in _random_strata_cases():
         sc = strata_complex(g, StabilityParam(eta, N))
         assert sc.connected
+
+
+# sha256 of dump_json(strata_to_doc(...)): pins the chosen representatives,
+# the face lists and the adjacency order, which the CLI prints as they are
+STRATA_DIGESTS = [
+    (theta_graph(), {"u": -1, "v": 1}, 2,
+     "3f8a2496ceae78cad09c5470f42fc399d52d81affb95762df175e765b2314ec7"),
+    (theta_graph(), {"u": 0, "v": 0}, 3,
+     "4a0f2d064240d8620281d1b5229a2d1e67b32ca93ed67226f3deb0a3a4c41dd3"),
+    (cycle_graph(3), {"v1": 1, "v2": -1, "v3": 0}, 2,
+     "6d6957af3c0169190cbfe480b5507b7c2404a89439ae6798fa74cafe796a1580"),
+    (cycle_graph(4), {"v1": 1, "v2": 0, "v3": -1, "v4": 0}, 2,
+     "9c8958e19f166039bbb2fd3ed028ec1ac7f49f3469fb3b6c4620f94837e366b3"),
+    (path_graph(3), {"v1": 0, "v2": 0, "v3": 0}, 2,
+     "baa57c548165e295324bad46c82d451e2229c66ed42d84281d78264afa8155a2"),
+    (loop_graph(), {"v1": 0}, 3,
+     "a69977aff96e11f3dbec69a868befa5c5bf960c006dfbcd9dccbfde48f4465eb"),
+]
+
+
+def test_strata_bytes_pinned():
+    for g, eta, N, digest in STRATA_DIGESTS:
+        text = dump_json(strata_to_doc(strata_complex(g, StabilityParam(eta, N))))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_strata_budget_checked_before_any_flow(monkeypatch):
+    """The face scan's len(nodes) * 3^m flow checks are charged up front, and a
+    full run makes exactly that many."""
+    flow = stability._box_flow_feasible
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return flow(*args)
+
+    monkeypatch.setattr(stability, "_box_flow_feasible", counted)
+    param = StabilityParam({"u": -1, "v": 1}, 2)
+    with pytest.raises(BudgetExceededError):
+        strata_complex(theta_graph(), param, budget=100)
+    assert calls == []
+    sc = strata_complex(theta_graph(), param)
+    assert len(calls) == len(sc.nodes) * 3 ** len(sc.edge_order) == 324
+
+
+def test_strata_adjacency_reads_off_faces():
+    """Every adjacency entry (i, j, a, b) starts at node i and steps to a
+    neighbour b whose joint box with a is a feasible face of node i's box."""
+    cases = list(_tiling_cases()) + list(_random_strata_cases())
+    checked = 0
+    for g, eta, N in cases:
+        sc = strata_complex(g, StabilityParam(eta, N))
+        for i, j, a, b in sc.adjacency:
+            assert 0 <= j < len(sc.nodes)
+            assert a == sc.nodes[i]
+            delta = tuple(y - x for x, y in zip(a, b))
+            assert set(delta) <= {-1, 0, 1} and any(delta)
+            assert (delta, delta.count(0)) in sc.faces[i]
+            checked += 1
+    assert checked > 0
