@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import deque
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -281,9 +282,9 @@ class Multigraph:
                 # walk the forest from head(chord) to tail(chord); a forest
                 # edge crossed tail-to-head enters with +1, else -1
                 prev: dict[str, tuple[str, Edge, int]] = {chord.head: (chord.head, chord, 0)}
-                queue = [chord.head]
+                queue = deque([chord.head])
                 while queue:
-                    cur = queue.pop(0)
+                    cur = queue.popleft()
                     if cur == chord.tail:
                         break
                     for nxt, e, sign in adj[cur]:

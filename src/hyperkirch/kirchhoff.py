@@ -9,6 +9,9 @@ Engines:
   psi_delcon   deletion-contraction recursion with memoization
   psi_det      evaluation as the cycle Gram determinant
   matrix_tree_dual   evaluation via the reciprocal-weight Laplacian
+
+psi_delcon and volumes.total_volume share one deletion-contraction engine,
+_delcon, with polynomial and with integer rules.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from .graphs import DomainError, Multigraph
 from .lattice import _det_bareiss, tau_matrix
 from .poly import MultilinearPoly
 
-FrozenTerms = dict
-
-
 def psi_enum(graph: Multigraph) -> MultilinearPoly:
     """Forest-complement polynomial by direct enumeration of maximal forests."""
     all_ids = frozenset(graph.edge_ids)
@@ -31,47 +31,57 @@ def psi_enum(graph: Multigraph) -> MultilinearPoly:
     return MultilinearPoly.from_terms(all_ids, terms)
 
 
-def _delcon(graph: Multigraph, memo: dict) -> FrozenTerms:
+def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
+    """The deletion-contraction recursion, valued by the caller's three rules.
+
+    An edgeless minor is worth empty. Otherwise the smallest edge id e is
+    classified once: a loop is deleted and its value passed to loop(e, v), a
+    bridge is contracted, and an ordinary edge gives split(e, deleted,
+    contracted). Repeated minors are shared through memo, keyed on the
+    labeled minor, which is well defined because deletions and contractions
+    preserve the surviving ids and commute.
+    """
     key = (tuple(sorted(graph.vertices)), tuple(sorted(graph.edges)))
     hit = memo.get(key)
     if hit is not None:
         return hit
     if not graph.edges:
-        result = {frozenset(): 1}
-        memo[key] = result
-        return result
-    loops = sorted(e.id for e in graph.edges if e.head == e.tail)
-    if loops:
-        e = loops[0]
-        sub = _delcon(graph.delete(e), memo)
-        result = {mono | {e}: c for mono, c in sub.items()}
+        result = empty
     else:
-        bridges = sorted(eid for eid in graph.edge_ids if graph.classify_edge(eid) == "bridge")
-        if bridges:
-            result = dict(_delcon(graph.contract(bridges[0]), memo))
+        e = min(graph.edge_ids)
+        kind = graph.classify_edge(e)
+        if kind == "loop":
+            result = loop(e, _delcon(graph.delete(e), memo, empty, loop, split))
+        elif kind == "bridge":
+            result = _delcon(graph.contract(e), memo, empty, loop, split)
         else:
-            e = min(graph.edge_ids)
-            deleted = _delcon(graph.delete(e), memo)
-            contracted = _delcon(graph.contract(e), memo)
-            # monomials from the deleted branch all contain e, those from the
-            # contracted branch never do, so the union is collision free
-            result = {mono | {e}: c for mono, c in deleted.items()}
-            result.update(contracted)
+            result = split(
+                e,
+                _delcon(graph.delete(e), memo, empty, loop, split),
+                _delcon(graph.contract(e), memo, empty, loop, split),
+            )
     memo[key] = result
     return result
+
+
+def _times_x(e: str, terms: dict) -> dict:
+    return {mono | {e}: c for mono, c in terms.items()}
+
+
+def _split_terms(e: str, deleted: dict, contracted: dict) -> dict:
+    # monomials from the deleted branch all contain e, those from the
+    # contracted branch never do, so the union is collision free
+    return {**_times_x(e, deleted), **contracted}
 
 
 def psi_delcon(graph: Multigraph) -> MultilinearPoly:
     """Forest-complement polynomial by deletion and contraction.
 
-    A loop e contributes the factor x_e to every monomial of the graph with
-    e deleted; a bridge is contracted outright; otherwise the smallest
-    ordinary edge e splits the recursion into x_e * P(delete) + P(contract).
-    Repeated minors are shared through a per-call memo keyed on the labeled
-    minor, which is well defined because deletions and contractions preserve
-    the surviving ids and commute.
+    The edgeless minor is the constant 1, a loop e multiplies every monomial
+    by x_e, and an ordinary edge e gives x_e * P(delete) + P(contract).
+    total_volume is the same engine with integer rules.
     """
-    terms = _delcon(graph, {})
+    terms = _delcon(graph, {}, {frozenset(): 1}, _times_x, _split_terms)
     return MultilinearPoly.from_terms(frozenset(graph.edge_ids), terms)
 
 

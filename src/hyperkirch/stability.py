@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -134,37 +135,44 @@ def _max_flow(n: int, arcs: list[tuple[int, int, int]], s: int, t: int) -> int:
     while True:
         level = [-1] * n
         level[s] = 0
-        queue = [s]
+        queue = deque([s])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             for a in adj[cur]:
                 if cap[a] > 0 and level[to[a]] < 0:
                     level[to[a]] = level[cur] + 1
                     queue.append(to[a])
         if level[t] < 0:
             return flow
+        # blocking flow: advance along level-increasing arcs, retreat from
+        # dead ends, augment by the bottleneck on reaching t
         it = [0] * n
-
-        def dfs(u: int, pushed: int) -> int:
-            if u == t:
-                return pushed
-            while it[u] < len(adj[u]):
-                a = adj[u][it[u]]
-                v = to[a]
-                if cap[a] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, cap[a]))
-                    if got:
-                        cap[a] -= got
-                        cap[a ^ 1] += got
-                        return got
-                it[u] += 1
-            return 0
-
+        path: list[int] = []
+        u = s
         while True:
-            pushed = dfs(s, 1 << 62)
-            if not pushed:
+            if u == t:
+                pushed = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                flow += pushed
+                path.clear()
+                u = s
+                continue
+            arcs_u = adj[u]
+            while it[u] < len(arcs_u):
+                a = arcs_u[it[u]]
+                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+                    break
+                it[u] += 1
+            if it[u] < len(arcs_u):
+                path.append(a)
+                u = to[a]
+            elif path:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
                 break
-            flow += pushed
 
 
 def _box_flow_feasible(

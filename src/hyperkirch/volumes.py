@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .graphs import BudgetExceededError, DomainError, Multigraph, enumeration_budget
-from .kirchhoff import psi_delcon, psi_enum
+from .kirchhoff import _delcon, psi_delcon, psi_enum
 
 
 def _is_prime(n: int) -> bool:
@@ -96,40 +96,16 @@ def fibre_volume(graph: Multigraph, nu: Mapping[str, int], q: int) -> Fraction:
 
 
 def total_volume(graph: Multigraph) -> int:
-    """The integer total volume, by its own deletion-contraction recursion.
+    """The integer total volume: the number of maximal spanning forests.
 
-    An ordinary edge splits into the deleted plus the contracted minor, a
-    bridge contracts, a loop deletes, and the edgeless base case is 1. The
-    result equals the number of maximal spanning forests; that equality is a
-    theorem, and the recursion here is kept independent of the polynomial
-    engines so the two routes stay separate checks.
+    Runs the deletion-contraction engine of psi_delcon with integer rules:
+    the edgeless minor counts 1, a loop leaves the count unchanged, and an
+    ordinary edge adds the deleted and the contracted counts. It is checked
+    against routes that share no code with that engine: the brute-force
+    forest count of the tests, the forest enumeration of psi_enum, and the
+    residue-class sum of total_volume_padic_oracle.
     """
-    memo: dict = {}
-
-    def rec(g: Multigraph) -> int:
-        key = (tuple(sorted(g.vertices)), tuple(sorted(g.edges)))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if not g.edges:
-            result = 1
-        else:
-            loops = sorted(e.id for e in g.edges if e.head == e.tail)
-            if loops:
-                result = rec(g.delete(loops[0]))
-            else:
-                bridges = sorted(
-                    eid for eid in g.edge_ids if g.classify_edge(eid) == "bridge"
-                )
-                if bridges:
-                    result = rec(g.contract(bridges[0]))
-                else:
-                    e = min(g.edge_ids)
-                    result = rec(g.delete(e)) + rec(g.contract(e))
-        memo[key] = result
-        return result
-
-    return rec(graph)
+    return _delcon(graph, {}, 1, lambda e, count: count, lambda e, d, c: d + c)
 
 
 def central_fibre_point_count(graph: Multigraph, q: int) -> int:

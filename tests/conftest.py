@@ -45,6 +45,14 @@ def path_graph(n: int) -> Multigraph:
     return Multigraph(verts, edges)
 
 
+def complete_graph(n: int) -> Multigraph:
+    """K_n with zero-padded edge ids, so id order is the order of creation."""
+    verts = [f"v{i}" for i in range(1, n + 1)]
+    pairs = itertools.combinations(verts, 2)
+    edges = [Edge(f"e{k:02d}", b, a) for k, (a, b) in enumerate(pairs, 1)]
+    return Multigraph(verts, edges)
+
+
 def disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
     verts = [f"a.{v}" for v in a.vertices] + [f"b.{v}" for v in b.vertices]
     edges = [Edge(f"a.{e.id}", f"a.{e.head}", f"a.{e.tail}") for e in a.edges]

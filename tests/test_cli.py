@@ -154,6 +154,23 @@ def test_stability_and_warning(capsys):
     assert "N = 1" in err
 
 
+def test_stability_on_3000_edge_cycle(capsys):
+    g = cycle_graph(3000)
+    eta = {v: 0 for v in g.vertices}
+    eta["v1"], eta["v1501"] = 1, -1
+    orbits = {eid: {"segment": 0} for eid in g.edge_ids}
+    code, out, _ = invoke(
+        capsys,
+        "stability",
+        "--graph", json.dumps(graph_to_doc(g)),
+        "--eta", json.dumps(eta),
+        "--n", "1",
+        "--orbits", json.dumps(orbits),
+    )
+    assert code == 0
+    assert json.loads(out) == {"N": 1, "semistable": True}
+
+
 def test_generic_direct_and_search(capsys):
     code, out, _ = invoke(
         capsys, "generic", "--graph", THETA, "--eta", '{"u":-1,"v":1}', "--n", "2"

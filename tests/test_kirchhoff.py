@@ -1,5 +1,6 @@
 """Forest-complement polynomial engines checked against each other and brute force."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 
 from conftest import (
     brute_psi_terms,
+    brute_forest_count,
     brute_psi_value,
+    complete_graph,
     cycle_graph,
     disjoint_union,
     iso_catalog,
@@ -25,6 +28,7 @@ from hyperkirch import (
     psi_delcon,
     psi_det,
     psi_enum,
+    total_volume,
 )
 
 
@@ -196,3 +200,38 @@ def test_delcon_repeat_calls_are_stable():
     assert brute_psi_value(g, {e: 2 for e in g.edge_ids}) == first.evaluate(
         {e: 2 for e in g.edge_ids}
     )
+
+
+def test_engine_classifies_only_the_edge_it_removes(monkeypatch):
+    """psi_delcon and total_volume classify the smallest edge of each minor
+    and no other, and reach all three kinds of edge on these graphs."""
+    classify = Multigraph.classify_edge
+    kinds = set()
+
+    def checked(self, eid):
+        assert eid == min(self.edge_ids)
+        kind = classify(self, eid)
+        kinds.add(kind)
+        return kind
+
+    monkeypatch.setattr(Multigraph, "classify_edge", checked)
+    loop_and_bridge = Multigraph(
+        ["a", "b", "c"],
+        [Edge("e1", "a", "a"), Edge("e2", "b", "a"), Edge("e3", "c", "b"), Edge("e4", "b", "c")],
+    )
+    for g in (cycle_graph(20), complete_graph(5), loop_and_bridge):
+        assert psi_delcon(g).terms == brute_psi_terms(g)
+        assert total_volume(g) == brute_forest_count(g)
+    assert kinds == {"loop", "bridge", "ordinary"}
+
+
+def test_engine_leaves_no_cyclic_garbage():
+    g = complete_graph(5)
+    gc.collect()
+    gc.disable()
+    try:
+        total_volume(g)
+        psi_delcon(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

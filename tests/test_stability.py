@@ -573,3 +573,17 @@ def test_strata_adjacency_reads_off_faces():
             assert (delta, delta.count(0)) in sc.faces[i]
             checked += 1
     assert checked > 0
+
+
+def test_semistable_on_3000_edge_cycle():
+    """The max-flow is iterative: a unit demand across half of a 3000-edge
+    cycle is carried by the forward arc, and pinning one edge of each arc to
+    character 1 leaves no solution."""
+    g = cycle_graph(3000)
+    eta = {v: 0 for v in g.vertices}
+    eta["v1"], eta["v1501"] = 1, -1
+    param = StabilityParam(eta, 1)
+    spec = {eid: segment_orbit(0) for eid in g.edge_ids}
+    assert is_semistable(g, param, spec)
+    spec["e1"] = spec["e2000"] = point_orbit(1)
+    assert not is_semistable(g, param, spec)
