@@ -7,7 +7,6 @@ All graph values are immutable; every operation returns a new graph.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import deque
@@ -51,6 +50,14 @@ def enumeration_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
+def _find(parent: dict, x):
+    """Root of x in a union-find parent map, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class Edge(NamedTuple):
     id: str
     head: str
@@ -86,6 +93,18 @@ class Multigraph:
         self.edges = tuple(es)
         self._by_id = {e.id: e for e in self.edges}
 
+    @classmethod
+    def _minor(cls, vertices: tuple, edges: tuple) -> "Multigraph":
+        """A graph from tuples already known to be valid, without the checks of __init__.
+
+        Used for deletions and contractions: a minor of a valid graph is valid.
+        """
+        g = object.__new__(cls)
+        g.vertices = vertices
+        g.edges = edges
+        g._by_id = {e.id: e for e in edges}
+        return g
+
     def __eq__(self, other):
         return (
             isinstance(other, Multigraph)
@@ -119,20 +138,13 @@ class Multigraph:
     def components(self) -> list[frozenset[str]]:
         """Connected components as vertex sets, sorted by smallest member."""
         parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e in self.edges:
-            a, b = find(e.head), find(e.tail)
+            a, b = _find(parent, e.head), _find(parent, e.tail)
             if a != b:
                 parent[a] = b
         groups: dict[str, set[str]] = {}
         for v in self.vertices:
-            groups.setdefault(find(v), set()).add(v)
+            groups.setdefault(_find(parent, v), set()).add(v)
         return sorted((frozenset(g) for g in groups.values()), key=min)
 
     def n_components(self) -> int:
@@ -148,17 +160,27 @@ class Multigraph:
     # minors
 
     def classify_edge(self, edge_id: str) -> str:
-        """One of 'loop', 'bridge', 'ordinary'."""
+        """One of 'loop', 'bridge', 'ordinary'.
+
+        A non-loop edge is a bridge iff its endpoints are not joined by the
+        other edges, which one union-find pass over them decides.
+        """
         e = self.edge(edge_id)
         if e.head == e.tail:
             return "loop"
-        if self.delete(edge_id).n_components() > self.n_components():
+        parent = {v: v for v in self.vertices}
+        for x in self.edges:
+            if x.id != edge_id:
+                a, b = _find(parent, x.head), _find(parent, x.tail)
+                if a != b:
+                    parent[a] = b
+        if _find(parent, e.head) != _find(parent, e.tail):
             return "bridge"
         return "ordinary"
 
     def delete(self, edge_id: str) -> "Multigraph":
         self.edge(edge_id)
-        return Multigraph(self.vertices, (e for e in self.edges if e.id != edge_id))
+        return Multigraph._minor(self.vertices, tuple(e for e in self.edges if e.id != edge_id))
 
     def contract(self, edge_id: str) -> "Multigraph":
         """Contract a non-loop edge, merging its endpoints into the smaller id."""
@@ -166,31 +188,25 @@ class Multigraph:
         if e.head == e.tail:
             raise LoopContractionError(f"edge {edge_id!r} is a loop and cannot be contracted")
         keep, drop = (e.head, e.tail) if e.head < e.tail else (e.tail, e.head)
-
-        def m(v):
-            return keep if v == drop else v
-
         vs = tuple(v for v in self.vertices if v != drop)
-        es = (Edge(x.id, m(x.head), m(x.tail)) for x in self.edges if x.id != edge_id)
-        return Multigraph(vs, es)
+        es = tuple(
+            x if x.head != drop and x.tail != drop
+            else Edge(x.id, keep if x.head == drop else x.head, keep if x.tail == drop else x.tail)
+            for x in self.edges
+            if x.id != edge_id
+        )
+        return Multigraph._minor(vs, es)
 
     # forests and cycles
 
     def spanning_forest(self) -> frozenset[str]:
         """The maximal spanning forest picked greedily in ascending edge id order."""
         parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         chosen = []
         for e in sorted(self.edges, key=lambda e: e.id):
             if e.head == e.tail:
                 continue
-            a, b = find(e.head), find(e.tail)
+            a, b = _find(parent, e.head), _find(parent, e.tail)
             if a != b:
                 parent[a] = b
                 chosen.append(e.id)
@@ -201,6 +217,13 @@ class Multigraph:
 
         A maximal forest has |V| - #components edges, never contains a loop,
         and restricts to a spanning tree of every component.
+
+        The forests are enumerated by backtracking: non-loop edges are tried
+        in ascending position, an edge that would close a cycle is skipped,
+        and a branch ends once too few edges remain to reach the forest size.
+        The budget still counts the candidate subsets C(#non-loop edges,
+        forest size), checked before any work, so the cap means the same as
+        for a subset scan.
         """
         nonloop = [e for e in self.edges if e.head != e.tail]
         size = len(self.vertices) - self.n_components()
@@ -210,25 +233,33 @@ class Multigraph:
             raise BudgetExceededError(
                 f"forest enumeration needs {candidates} candidate subsets, cap is {cap}"
             )
+        index = {v: i for i, v in enumerate(self.vertices)}
+        ends = [(index[e.head], index[e.tail]) for e in nonloop]
+        n = len(ends)
+        # no path compression: undoing a link must restore a single slot
+        parent = list(range(len(self.vertices)))
         forests: set[frozenset[str]] = set()
-        for combo in itertools.combinations(nonloop, size):
-            parent = {v: v for v in self.vertices}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for e in combo:
-                a, b = find(e.head), find(e.tail)
-                if a == b:
-                    ok = False
-                    break
-                parent[a] = b
-            if ok:
-                forests.add(frozenset(e.id for e in combo))
+        chosen: list[tuple[int, int]] = []  # (edge position, root it was linked from)
+        pos = 0
+        while True:
+            if len(chosen) == size:
+                forests.add(frozenset(nonloop[i].id for i, _ in chosen))
+            elif n - pos >= size - len(chosen):
+                a, b = ends[pos]
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    parent[a] = b
+                    chosen.append((pos, a))
+                pos += 1
+                continue
+            if not chosen:
+                break
+            i, a = chosen.pop()
+            parent[a] = a
+            pos = i + 1
         return forests
 
     def _check_forest(self, forest: Iterable[str]) -> frozenset[str]:
@@ -239,18 +270,11 @@ class Multigraph:
         if len(ids) != size:
             raise DomainError("not a maximal spanning forest: wrong edge count")
         parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for eid in sorted(ids):
             e = self.edge(eid)
             if e.head == e.tail:
                 raise DomainError("not a maximal spanning forest: contains a loop")
-            a, b = find(e.head), find(e.tail)
+            a, b = _find(parent, e.head), _find(parent, e.tail)
             if a == b:
                 raise DomainError("not a maximal spanning forest: contains a cycle")
             parent[a] = b

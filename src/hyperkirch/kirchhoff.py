@@ -37,31 +37,50 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     An edgeless minor is worth empty. Otherwise the smallest edge id e is
     classified once: a loop is deleted and its value passed to loop(e, v), a
     bridge is contracted, and an ordinary edge gives split(e, deleted,
-    contracted). Repeated minors are shared through memo, keyed on the
-    labeled minor, which is well defined because deletions and contractions
-    preserve the surviving ids and commute.
+    contracted).
+
+    Repeated minors are shared through memo, keyed on the minor's vertex and
+    edge tuples as they stand, unsorted. The key is canonical for the
+    labelled minor: delete and contract keep the surviving vertices and
+    edges in their original order, and a contraction keeps the smaller
+    endpoint id, so each merged vertex is named by the smallest id it
+    absorbed, whatever the order of the steps that reached it.
+
+    The recursion runs on an explicit stack, so its depth is not bounded by
+    the interpreter's: a minor is expanded into its children on its first
+    pop, and valued from their memo entries when it is popped again.
     """
-    key = (tuple(sorted(graph.vertices)), tuple(sorted(graph.edges)))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if not graph.edges:
-        result = empty
-    else:
-        e = min(graph.edge_ids)
-        kind = graph.classify_edge(e)
-        if kind == "loop":
-            result = loop(e, _delcon(graph.delete(e), memo, empty, loop, split))
-        elif kind == "bridge":
-            result = _delcon(graph.contract(e), memo, empty, loop, split)
+    stack: list = [(graph, None)]
+    while stack:
+        item, plan = stack.pop()
+        if plan is None:
+            key = (item.vertices, item.edges)
+            if key in memo:
+                continue
+            if not item.edges:
+                memo[key] = empty
+                continue
+            e = min(x.id for x in item.edges)
+            kind = item.classify_edge(e)
+            if kind == "loop":
+                children = (item.delete(e),)
+            elif kind == "bridge":
+                children = (item.contract(e),)
+            else:
+                children = (item.delete(e), item.contract(e))
+            # a frame is (graph, None) until expanded, then (key, plan), which
+            # keeps the children's keys but not the child graphs
+            stack.append((key, (e, kind, [(c.vertices, c.edges) for c in children])))
+            stack.extend((c, None) for c in reversed(children))
         else:
-            result = split(
-                e,
-                _delcon(graph.delete(e), memo, empty, loop, split),
-                _delcon(graph.contract(e), memo, empty, loop, split),
-            )
-    memo[key] = result
-    return result
+            e, kind, keys = plan
+            if kind == "loop":
+                memo[item] = loop(e, memo[keys[0]])
+            elif kind == "bridge":
+                memo[item] = memo[keys[0]]
+            else:
+                memo[item] = split(e, memo[keys[0]], memo[keys[1]])
+    return memo[(graph.vertices, graph.edges)]
 
 
 def _times_x(e: str, terms: dict) -> dict:

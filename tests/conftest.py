@@ -53,6 +53,14 @@ def complete_graph(n: int) -> Multigraph:
     return Multigraph(verts, edges)
 
 
+def grid_graph(rows: int, cols: int) -> Multigraph:
+    """rows x cols grid; horizontal edges first, then vertical, ids zero-padded."""
+    verts = [f"v{r}{c}" for r in range(rows) for c in range(cols)]
+    edges = [(f"v{r}{c + 1}", f"v{r}{c}") for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"v{r + 1}{c}", f"v{r}{c}") for r in range(rows - 1) for c in range(cols)]
+    return Multigraph(verts, [Edge(f"e{k:02d}", h, t) for k, (h, t) in enumerate(edges, 1)])
+
+
 def disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:
     verts = [f"a.{v}" for v in a.vertices] + [f"b.{v}" for v in b.vertices]
     edges = [Edge(f"a.{e.id}", f"a.{e.head}", f"a.{e.tail}") for e in a.edges]

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 
-from conftest import cycle_graph, theta_graph
+from conftest import cycle_graph, path_graph, theta_graph
 from hyperkirch.cli import run
 from hyperkirch.io import graph_to_doc
 
@@ -169,6 +169,13 @@ def test_stability_on_3000_edge_cycle(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"N": 1, "semistable": True}
+
+
+def test_total_volume_on_1200_edge_path(capsys):
+    doc = json.dumps(graph_to_doc(path_graph(1200)))
+    code, out, _ = invoke(capsys, "total-volume", "--graph", doc)
+    assert code == 0
+    assert json.loads(out) == {"total_volume": 1}
 
 
 def test_generic_direct_and_search(capsys):

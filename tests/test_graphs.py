@@ -7,7 +7,9 @@ import pytest
 from conftest import (
     brute_component_count,
     brute_forests,
+    complete_graph,
     cycle_graph,
+    grid_graph,
     iso_catalog,
     loop_graph,
     path_graph,
@@ -58,6 +60,28 @@ def test_classify_edge():
     assert g.classify_edge("c2") == "ordinary"
 
 
+def test_classify_edge_matches_definition():
+    """A non-loop edge is a bridge iff deleting it adds a component."""
+    rng = random.Random(0xB41D)
+    kinds = set()
+    parallel = multi_component = False
+    for _ in range(300):
+        g = random_multigraph(rng, rng.randint(2, 8), rng.randint(1, 12))
+        c = g.n_components()
+        multi_component |= c > 1
+        parallel |= len({frozenset((e.head, e.tail)) for e in g.edges}) < len(g.edges)
+        for e in g.edges:
+            if e.head == e.tail:
+                expected = "loop"
+            elif g.delete(e.id).n_components() > c:
+                expected = "bridge"
+            else:
+                expected = "ordinary"
+            assert g.classify_edge(e.id) == expected
+            kinds.add(expected)
+    assert kinds == {"loop", "bridge", "ordinary"} and parallel and multi_component
+
+
 def test_delete_and_contract():
     g = theta_graph()
     d = g.delete("e1")
@@ -86,8 +110,46 @@ def test_components_and_betti1_match_brute_force():
 
 
 def test_spanning_forests_match_brute_force():
-    for g in iso_catalog(5):
+    rng = random.Random(0xF0857)
+    graphs = list(iso_catalog(5)) + [
+        random_multigraph(rng, rng.randint(1, 7), rng.randint(0, 10)) for _ in range(200)
+    ]
+    for g in graphs:
         assert g.spanning_forests() == set(brute_forests(g))
+
+
+def test_spanning_forests_of_a_long_path():
+    g = path_graph(1200)
+    assert g.spanning_forests() == {frozenset(g.edge_ids)}
+
+
+def test_minors_commute_as_ordered_graphs():
+    """Different orders of the same deletions and contractions give equal
+    vertex and edge tuples, not just isomorphic graphs."""
+    for g in (complete_graph(5), grid_graph(3, 3)):
+        for a in g.edge_ids:
+            for b in g.edge_ids:
+                if a == b:
+                    continue
+                assert g.contract(a).delete(b) == g.delete(b).contract(a)
+                if g.contract(a).edge(b).head != g.contract(a).edge(b).tail:
+                    assert g.contract(a).contract(b) == g.contract(b).contract(a)
+
+
+def test_minors_equal_validated_graphs():
+    rng = random.Random(0x3140)
+    graphs = [complete_graph(5), grid_graph(3, 3)]
+    graphs += [random_multigraph(rng, rng.randint(1, 6), rng.randint(1, 9)) for _ in range(100)]
+    for g in graphs:
+        for e in g.edges:
+            minors = [g.delete(e.id)]
+            if e.head != e.tail:
+                minors.append(g.contract(e.id))
+            for m in minors:
+                rebuilt = Multigraph(m.vertices, m.edges)
+                assert m == rebuilt
+                assert m._by_id == rebuilt._by_id
+                assert type(m.vertices) is tuple and type(m.edges) is tuple
 
 
 def test_greedy_forest_is_a_forest():

@@ -235,3 +235,9 @@ def test_engine_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_delcon_on_a_1200_edge_path():
+    """The engine's stack is its own, so a minor chain longer than the
+    interpreter's recursion limit still finishes."""
+    assert psi_delcon(path_graph(1200)).terms == {frozenset(): 1}

@@ -45,6 +45,10 @@ def test_total_volume_is_forest_count():
         assert total_volume(g) == brute_forest_count(g)
 
 
+def test_total_volume_on_a_1200_edge_path():
+    assert total_volume(path_graph(1200)) == 1
+
+
 def test_total_volume_multiplicative_over_components():
     a = theta_graph()
     b = cycle_graph(4)
