@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 
-from .graphs import DomainError, Multigraph
+from .graphs import DomainError, Multigraph, charge
 from .io import (
     dump_json,
     eta_from_doc,
@@ -162,6 +162,12 @@ def _run_generic(args):
     checked = 0
     found = None
     free = max(len(verts) - 1, 0)
+    # each candidate costs one is_generic scan of 2^E edge subsets
+    charge(
+        (2 * radius + 1) ** free * 2 ** len(graph.edges),
+        "genericity search subset checks",
+        args.budget,
+    )
     for head in itertools.product(range(-radius, radius + 1), repeat=free):
         last = -sum(head)
         if verts and not -radius <= last <= radius:

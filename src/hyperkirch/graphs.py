@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 
 class DomainError(ValueError):
@@ -32,21 +32,60 @@ class BudgetExceededError(DomainError):
 DEFAULT_BUDGET = 2_000_000
 
 
+def check_int(value, what: str, minimum: int | None = None) -> int:
+    """Return value if it is an int (not a bool) of at least minimum, else raise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an integer")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{what} must be >= {minimum}")
+    return value
+
+
+def check_keys(mapping, ids: Collection, what: str) -> None:
+    """Raise DomainError unless mapping is a mapping whose keys are exactly ids."""
+    if not isinstance(mapping, Mapping):
+        raise DomainError(f"{what} must be a mapping")
+    known = set(ids)
+    for key in mapping:
+        if key not in known:
+            raise DomainError(f"{what} given for unknown id {key!r}")
+    if len(mapping) != len(known):
+        missing = next(i for i in ids if i not in mapping)
+        raise DomainError(f"{what} missing for {missing!r}")
+
+
+def int_map(mapping, ids: Collection, what: str, minimum: int | None = None) -> dict:
+    """A dict copy of mapping, whose keys must be exactly ids and whose values
+    must pass check_int; values are checked in the mapping's own order."""
+    check_keys(mapping, ids, what)
+    out = dict(mapping)
+    for key, value in out.items():
+        # a plain int at or above minimum passes without building the message
+        if value.__class__ is not int or (minimum is not None and value < minimum):
+            check_int(value, f"{what} for {key!r}", minimum)
+    return out
+
+
+def charge(need: int, what: str, budget: int | None = None) -> int:
+    """Resolve the cap through enumeration_budget and raise BudgetExceededError
+    if need is over it. Returns the cap, so a later charge can pass it on."""
+    cap = enumeration_budget(budget)
+    if need > cap:
+        raise BudgetExceededError(f"{what}: {need} needed, budget is {cap}")
+    return cap
+
+
 def enumeration_budget(budget: int | None = None) -> int:
     """Resolve the enumeration cap: explicit argument, then HYPERKIRCH_BUDGET, then default."""
     if budget is not None:
-        if budget < 1:
-            raise DomainError("budget must be a positive integer")
-        return budget
+        return check_int(budget, "budget", 1)
     raw = os.environ.get("HYPERKIRCH_BUDGET")
     if raw:
         try:
             value = int(raw)
         except ValueError as exc:
             raise DomainError(f"HYPERKIRCH_BUDGET is not an integer: {raw!r}") from exc
-        if value < 1:
-            raise DomainError("HYPERKIRCH_BUDGET must be a positive integer")
-        return value
+        return check_int(value, "HYPERKIRCH_BUDGET", 1)
     return DEFAULT_BUDGET
 
 
@@ -227,12 +266,8 @@ class Multigraph:
         """
         nonloop = [e for e in self.edges if e.head != e.tail]
         size = len(self.vertices) - self.n_components()
-        cap = enumeration_budget(budget)
         candidates = math.comb(len(nonloop), size) if size <= len(nonloop) else 0
-        if candidates > cap:
-            raise BudgetExceededError(
-                f"forest enumeration needs {candidates} candidate subsets, cap is {cap}"
-            )
+        charge(candidates, "forest enumeration candidate subsets", budget)
         index = {v: i for i, v in enumerate(self.vertices)}
         ends = [(index[e.head], index[e.tail]) for e in nonloop]
         n = len(ends)
@@ -328,12 +363,10 @@ class Multigraph:
     def boundary(self, chain: Mapping[str, int]) -> dict[str, int]:
         """Boundary of an integer edge chain: d(e) = [head] - [tail], extended linearly.
 
-        The chain must assign a coefficient to every edge id.
+        The chain must assign an integer coefficient to every edge id.
         """
-        if set(chain) != set(self._by_id):
-            raise DomainError("edge-chain keys must be exactly the edge ids")
         out = {v: 0 for v in self.vertices}
-        for eid, a in chain.items():
+        for eid, a in int_map(chain, self._by_id, "edge-chain coefficient").items():
             e = self._by_id[eid]
             out[e.head] += a
             out[e.tail] -= a
@@ -349,11 +382,7 @@ class Multigraph:
         of n edges through n - 1 fresh interior vertices, oriented from the
         old tail to the old head. New ids are derived as '<edge>.<i>'.
         """
-        if set(counts) != set(self._by_id):
-            raise DomainError("fragmentation counts must cover exactly the edge ids")
-        for eid, n in counts.items():
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise DomainError(f"fragmentation count for {eid!r} must be a positive integer")
+        counts = int_map(counts, self._by_id, "fragmentation count", 1)
         vs = list(self.vertices)
         es: list[Edge] = []
         for e in self.edges:

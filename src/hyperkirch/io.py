@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping
 
 from .graphs import DomainError, Edge, Multigraph
 from .lattice import IntMatrix

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import DomainError, Multigraph
+from .graphs import DomainError, Multigraph, check_int, check_keys
 from .lattice import _det_bareiss, tau_matrix
 from .poly import MultilinearPoly
 
@@ -112,10 +112,10 @@ def psi_det(graph: Multigraph, weights: Mapping[str, int]) -> int:
 def matrix_tree_dual(graph: Multigraph, weights: Mapping[str, Fraction]) -> Fraction:
     """Value of the forest-complement polynomial via the weighted matrix-tree theorem.
 
-    For a connected graph and positive rational weights, the spanning tree
-    sum with reciprocal weights 1/x_e times the product P of all x_e equals
-    the forest-complement sum. Loops drop out of the Laplacian but their
-    variables still multiply every monomial.
+    For a connected graph and positive weights, each an int or a Fraction,
+    the spanning tree sum with reciprocal weights 1/x_e times the product P
+    of all x_e equals the forest-complement sum. Loops drop out of the
+    Laplacian but their variables still multiply every monomial.
 
     Computed exactly: with A = P * L the reduced block of A has entries that
     are signed sums of products of all-but-one weight, so after clearing one
@@ -124,14 +124,14 @@ def matrix_tree_dual(graph: Multigraph, weights: Mapping[str, Fraction]) -> Frac
     """
     if not graph.is_connected():
         raise DomainError("matrix_tree_dual requires a connected graph")
-    if set(weights) != set(graph.edge_ids):
-        raise DomainError("weight keys must be exactly the edge ids")
+    check_keys(weights, graph.edge_ids, "weight")
     w: dict[str, Fraction] = {}
     for eid, x in weights.items():
-        fx = Fraction(x)
-        if fx <= 0:
+        if not isinstance(x, Fraction):
+            x = Fraction(check_int(x, f"weight for {eid!r}"))
+        if x <= 0:
             raise DomainError(f"weight for {eid!r} must be positive")
-        w[eid] = fx
+        w[eid] = x
     prod = Fraction(1)
     for x in w.values():
         prod *= x

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import DomainError, Multigraph
+from .graphs import DomainError, Multigraph, int_map
 
 
 @dataclass(frozen=True)
@@ -200,19 +200,6 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
     return U, D, V
 
 
-def _check_weights(graph: Multigraph, weights: Mapping[str, int], positive: bool) -> dict:
-    if set(weights) != set(graph.edge_ids):
-        raise DomainError("weight keys must be exactly the edge ids")
-    out = {}
-    for eid, w in weights.items():
-        if not isinstance(w, int) or isinstance(w, bool):
-            raise DomainError(f"weight for {eid!r} must be an integer")
-        if positive and w < 1:
-            raise DomainError(f"weight for {eid!r} must be >= 1")
-        out[eid] = w
-    return out
-
-
 def tau_matrix(
     graph: Multigraph,
     weights: Mapping[str, int],
@@ -225,12 +212,12 @@ def tau_matrix(
     does not depend on the basis or on edge orientations; the matrix itself
     does. Defaults to the graph's own fundamental cycle basis.
     """
-    w = _check_weights(graph, weights, positive=False)
-    cycles = graph.cycle_basis() if basis is None else basis
+    w = int_map(weights, graph.edge_ids, "weight")
     eids = sorted(graph.edge_ids)
-    for c in cycles:
-        if set(c) != set(eids):
-            raise DomainError("cycle vectors must assign a coefficient to every edge")
+    if basis is None:
+        cycles = graph.cycle_basis()
+    else:
+        cycles = [int_map(c, eids, "cycle coefficient") for c in basis]
     rows = []
     for ci in cycles:
         rows.append(
@@ -264,7 +251,7 @@ def component_group(graph: Multigraph, weights: Mapping[str, int]) -> ComponentG
     weighted spanning forest count. With all-ones weights this is the
     critical group of the graph.
     """
-    _check_weights(graph, weights, positive=True)
+    int_map(weights, graph.edge_ids, "weight", 1)
     gram = tau_matrix(graph, weights)
     _, d, _ = smith_normal_form(gram)
     factors = tuple(d.entries[i][i] for i in range(gram.rows))
@@ -288,7 +275,7 @@ def tropical_jacobian(graph: Multigraph, weights: Mapping[str, int]) -> TropToru
     definite because a cycle pairs with itself to the weighted sum of its
     squared edge coefficients.
     """
-    _check_weights(graph, weights, positive=True)
+    int_map(weights, graph.edge_ids, "weight", 1)
     gram = tau_matrix(graph, weights)
     cov = gram.det()
     return TropTorus(graph.betti1(), gram, cov)

@@ -24,12 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import (
-    BudgetExceededError,
-    DomainError,
-    Multigraph,
-    enumeration_budget,
-)
+from .graphs import DomainError, Multigraph, charge, check_int, check_keys, int_map
 from .lattice import IntMatrix, smith_normal_form
 
 
@@ -43,10 +38,19 @@ class StabilityParam:
 
 @dataclass(frozen=True)
 class EdgeOrbit:
-    """Shape of one edge's orbit: kind in {'generic', 'segment', 'point'}."""
+    """Shape of one edge's orbit: kind in {'generic', 'segment', 'point'}.
+
+    Segment and point orbits need an integer level; a generic orbit ignores it.
+    """
 
     kind: str
     level: int | None = None
+
+    def __post_init__(self):
+        if self.kind in ("segment", "point"):
+            check_int(self.level, f"{self.kind} level")
+        elif self.kind != "generic":
+            raise DomainError(f"unknown orbit kind {self.kind!r}")
 
 
 def generic_orbit() -> EdgeOrbit:
@@ -54,11 +58,11 @@ def generic_orbit() -> EdgeOrbit:
 
 
 def segment_orbit(n: int) -> EdgeOrbit:
-    return EdgeOrbit("segment", int(n))
+    return EdgeOrbit("segment", n)
 
 
 def point_orbit(n: int) -> EdgeOrbit:
-    return EdgeOrbit("point", int(n))
+    return EdgeOrbit("point", n)
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,9 @@ def delta_membership(k: int, m: int, N: int) -> str:
     lower boundary above m has height N (n^2 + n) / 2 + N + (n + 1) (m - N n).
     Returns 'boundary', 'interior', or 'outside'.
     """
-    if N < 1:
-        raise DomainError("N must be at least 1")
+    check_int(k, "k")
+    check_int(m, "m")
+    check_int(N, "N", 1)
     n = m // N
     floor_k = N * (n * n + n) // 2 + N + (n + 1) * (m - N * n)
     if k == floor_k:
@@ -88,30 +93,20 @@ def delta_membership(k: int, m: int, N: int) -> str:
 
 def orbit_char_set(spec: Mapping[str, EdgeOrbit], N: int) -> dict[str, CharRange]:
     """Character interval of each edge orbit at box scale N."""
-    if N < 1:
-        raise DomainError("N must be at least 1")
+    check_int(N, "N", 1)
     out = {}
     for eid, orbit in spec.items():
         if orbit.kind == "generic":
             out[eid] = CharRange(None, None)
-        elif orbit.kind == "segment":
-            out[eid] = CharRange(N * orbit.level, N * (orbit.level + 1))
-        elif orbit.kind == "point":
-            out[eid] = CharRange(N * orbit.level, N * orbit.level)
         else:
-            raise DomainError(f"unknown orbit kind {orbit.kind!r}")
+            lo = N * orbit.level
+            out[eid] = CharRange(lo, lo + N if orbit.kind == "segment" else lo)
     return out
 
 
 def _check_param(graph: Multigraph, param: StabilityParam) -> None:
-    if param.N < 1:
-        raise DomainError("N must be at least 1")
-    if set(param.eta) != set(graph.vertices):
-        raise DomainError("eta keys must be exactly the vertex ids")
-    for v, x in param.eta.items():
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise DomainError(f"eta value for {v!r} must be an integer")
-    if sum(param.eta.values()) != 0:
+    check_int(param.N, "N", 1)
+    if sum(int_map(param.eta, graph.vertices, "eta").values()) != 0:
         raise DomainError("eta must sum to zero")
 
 
@@ -228,8 +223,7 @@ def is_semistable(
 ) -> bool:
     """Does some integer character vector in the orbit's box bound -eta?"""
     _check_param(graph, param)
-    if set(spec) != set(graph.edge_ids):
-        raise DomainError("orbit spec keys must be exactly the edge ids")
+    check_keys(spec, graph.edge_ids, "orbit spec")
     ranges = orbit_char_set(spec, param.N)
     bounds = {eid: (r.lo, r.hi) for eid, r in ranges.items()}
     return _box_flow_feasible(graph, param.eta, bounds)
@@ -315,11 +309,7 @@ def is_generic(graph: Multigraph, param: StabilityParam, budget: int | None = No
     """
     _check_param(graph, param)
     eids = sorted(graph.edge_ids)
-    cap = enumeration_budget(budget)
-    if 2 ** len(eids) > cap:
-        raise BudgetExceededError(
-            f"genericity scan needs {2 ** len(eids)} subsets, budget is {cap}"
-        )
+    charge(2 ** len(eids), "genericity scan subsets", budget)
     target = {v: -x for v, x in param.eta.items()}
     c0map = _particular_solution(graph, target)
     if c0map is None:
@@ -378,14 +368,15 @@ def strata_complex(
 
     The joint box of rep and rep + delta, delta in {-1, 0, 1}^E, is face delta
     of rep's box, so one max-flow per face gives both the faces and the
-    adjacency. The budget is checked against those len(nodes) * 3^E flows
-    before the first one runs.
+    adjacency. The budget is charged the (N^2)^rank witnesses before the
+    scan, every node as it is found, and the len(nodes) * 3^E flows before
+    the first one runs.
     """
     _check_param(graph, param)
     N = param.N
     eids = sorted(graph.edge_ids)
     m = len(eids)
-    cap = enumeration_budget(budget)
+    cap = charge((N * N) ** graph.betti1(), "strata witness classes", budget)
     target = {v: -x for v, x in param.eta.items()}
     c0map = _particular_solution(graph, target)
     if c0map is None:
@@ -397,11 +388,6 @@ def strata_complex(
     forest = graph.spanning_forest()
     chord_pos = [eids.index(eid) for eid in sorted(set(eids) - forest)]
     assert len(chord_pos) == r
-
-    if (N * N) ** r > cap:
-        raise BudgetExceededError(
-            f"strata scan needs {(N * N) ** r} witness classes, budget is {cap}"
-        )
 
     raw: set[tuple] = set()
     for t in itertools.product(range(N * N), repeat=r):
@@ -415,8 +401,7 @@ def strata_complex(
             options.append((n0, n0 - 1) if x % N == 0 else (n0,))
         for combo in itertools.product(*options):
             raw.add(combo)
-            if len(raw) > cap:
-                raise BudgetExceededError(f"strata node scan exceeded budget {cap}")
+            charge(len(raw), "strata nodes", cap)
 
     def canon(vec: tuple) -> tuple:
         """Subtract N * floor(vec[chord] / N) times each chord's cycle."""
@@ -453,10 +438,7 @@ def strata_complex(
     )
     index = {canon(rep): i for i, rep in enumerate(reps)}
 
-    if len(reps) * 3**m > cap:
-        raise BudgetExceededError(
-            f"strata face scan needs {len(reps) * 3 ** m} checks, budget is {cap}"
-        )
+    charge(len(reps) * 3**m, "strata face checks", cap)
     # each feasible non-central face is an adjacency; the pair is stored
     # translated so its first vector is a representative, whichever of the
     # two ways round is smaller

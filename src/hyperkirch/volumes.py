@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import BudgetExceededError, DomainError, Multigraph, enumeration_budget
+from .graphs import DomainError, Multigraph, charge, check_int, int_map
 from .kirchhoff import _delcon, psi_delcon, psi_enum
 
 
@@ -41,56 +41,42 @@ class LocalFieldParams:
     k: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if not _is_prime(check_int(self.p, "p")):
             raise DomainError(f"p = {self.p} is not prime")
-        q = self.q
-        if q < 2:
-            raise DomainError("q must be at least 2")
+        q = check_int(self.q, "q", 2)
         while q % self.p == 0:
             q //= self.p
         if q != 1:
             raise DomainError(f"q = {self.q} is not a power of p = {self.p}")
-        if self.k < 1:
-            raise DomainError("precision k must be at least 1")
-
-
-def _check_valuation(graph: Multigraph, nu: Mapping[str, int]) -> dict:
-    if set(nu) != set(graph.edge_ids):
-        raise DomainError("valuation keys must be exactly the edge ids")
-    out = {}
-    for eid, v in nu.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise DomainError(f"valuation for {eid!r} must be an integer >= 1")
-        out[eid] = v
-    return out
+        check_int(self.k, "precision k", 1)
 
 
 def _check_q(q: int) -> int:
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
-        raise DomainError("q must be an integer >= 2")
-    return q
+    try:
+        return check_int(q, "q", 2)
+    except DomainError:
+        # kept word for word: recorded CLI outputs contain this message
+        raise DomainError("q must be an integer >= 2") from None
 
 
 def valuation_stratum_measure(q: int, n: int) -> Fraction:
     """Haar mass of the valuation-n stratum inside the unit ball: (q-1) q^-(n+1)."""
     _check_q(q)
-    if n < 0:
-        raise DomainError("stratum valuation must be >= 0")
+    check_int(n, "stratum valuation", 0)
     return Fraction(q - 1, q ** (n + 1))
 
 
 def valuation_tail_measure(q: int, cutoff: int) -> Fraction:
     """Haar mass of all strata with valuation above cutoff: q^-(cutoff+1)."""
     _check_q(q)
-    if cutoff < 0:
-        raise DomainError("cutoff must be >= 0")
+    check_int(cutoff, "cutoff", 0)
     return Fraction(1, q ** (cutoff + 1))
 
 
 def fibre_volume(graph: Multigraph, nu: Mapping[str, int], q: int) -> Fraction:
     """Volume (1 - 1/q)^betti1 times the forest-complement value at nu."""
     _check_q(q)
-    v = _check_valuation(graph, nu)
+    v = int_map(nu, graph.edge_ids, "valuation", 1)
     psi = psi_delcon(graph).evaluate(v)
     return Fraction(q - 1, q) ** graph.betti1() * psi
 
@@ -119,7 +105,7 @@ def trop_volume_check(graph: Multigraph, nu: Mapping[str, int], q: int) -> bool:
     from .lattice import tropical_jacobian
 
     _check_q(q)
-    v = _check_valuation(graph, nu)
+    v = int_map(nu, graph.edge_ids, "valuation", 1)
     torus = tropical_jacobian(graph, v)
     return fibre_volume(graph, v, q) == Fraction(q - 1, q) ** torus.rank * torus.covolume
 
@@ -199,6 +185,11 @@ def total_volume_padic_oracle(
     r = graph.betti1()
     if r == 0:
         return Fraction(1), Fraction(0)
+    pk = p**k
+    if monte_carlo:
+        check_int(samples, "samples", 2)
+    else:
+        charge(pk**r, "oracle residue classes", budget)
     cycles = graph.cycle_basis()
     eids = sorted(graph.edge_ids)
     rows = [[c[eid] for c in cycles] for eid in eids]
@@ -208,7 +199,6 @@ def total_volume_padic_oracle(
         [eids.index(e) for e in mono] for mono in sorted(psi.terms, key=sorted)
     ]
     forest_count = len(monomials)
-    pk = p**k
 
     def class_value(t: tuple) -> int:
         nu = []
@@ -236,8 +226,6 @@ def total_volume_padic_oracle(
     bound = Fraction(p - 1) ** r * forest_count * non_bridge * tail
 
     if monte_carlo:
-        if samples < 2:
-            raise DomainError("monte carlo needs at least 2 samples")
         rng = random.Random(seed)
         vals = [
             class_value(tuple(rng.randrange(pk) for _ in range(r)))
@@ -252,13 +240,6 @@ def total_volume_padic_oracle(
             var / samples
         )
         return estimate, bound + radius
-
-    space = pk**r
-    cap = enumeration_budget(budget)
-    if space > cap:
-        raise BudgetExceededError(
-            f"oracle needs {space} residue classes, budget is {cap}"
-        )
 
     total = sum(class_value(t) for t in itertools.product(range(pk), repeat=r))
     estimate = Fraction((p - 1) ** r * total, pk**r)

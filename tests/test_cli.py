@@ -5,7 +5,8 @@ import os
 import subprocess
 import sys
 
-from conftest import cycle_graph, path_graph, theta_graph
+from conftest import complete_graph, cycle_graph, path_graph, theta_graph
+from hyperkirch import cli, stability
 from hyperkirch.cli import run
 from hyperkirch.io import graph_to_doc
 
@@ -289,3 +290,21 @@ def test_budget_env_respected(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "BudgetExceededError"
+
+
+def test_generic_search_budget_checked_before_any_candidate(capsys, monkeypatch):
+    """201^3 candidate weights on K4, each a 2^6 subset scan, is over the
+    default budget and must be refused before the first is_generic call."""
+    calls = []
+
+    def never(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("is_generic ran before the budget check")
+
+    monkeypatch.setattr(stability, "is_generic", never)
+    monkeypatch.setattr(cli, "is_generic", never)
+    k4 = json.dumps(graph_to_doc(complete_graph(4)))
+    code, out, _ = invoke(capsys, "generic", "--graph", k4, "--n", "1", "--search", "100")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "BudgetExceededError"
+    assert calls == []
