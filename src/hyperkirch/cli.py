@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 
-from .graphs import DomainError, Multigraph, charge
+from .graphs import DomainError, Multigraph, charge, check_keys
 from .io import (
     dump_json,
     eta_from_doc,
@@ -72,6 +72,7 @@ def _run_psi(args):
         doc["engines_agree"] = poly_equal(poly, psi_enum(graph))
     if args.weights is not None:
         weights = int_map_from_doc(load_json_arg(args.weights), "weights")
+        check_keys(weights, graph.edge_ids, "weight")
         doc["value"] = format_rational(poly.evaluate(weights))
     return doc
 
@@ -162,10 +163,10 @@ def _run_generic(args):
     checked = 0
     found = None
     free = max(len(verts) - 1, 0)
-    # each candidate costs one is_generic scan of 2^E edge subsets
+    # each candidate costs one is_generic scan of 2^(V-1) bond candidates
     charge(
-        (2 * radius + 1) ** free * 2 ** len(graph.edges),
-        "genericity search subset checks",
+        (2 * radius + 1) ** free * 2**free,
+        "genericity search bond candidates",
         args.budget,
     )
     for head in itertools.product(range(-radius, radius + 1), repeat=free):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import DomainError, Multigraph, int_map
+from .graphs import DomainError, Multigraph, check_int, int_map
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,12 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
+        tup = tuple(tuple(row) for row in rows)
+        for row in tup:
+            for x in row:
+                # a plain int passes without building the message
+                if type(x) is not int:
+                    check_int(x, "matrix entry")
         widths = {len(r) for r in tup}
         if len(widths) > 1:
             raise DomainError("ragged matrix rows")

@@ -14,10 +14,18 @@ disconnect the graph. The semistable Segment assignments, taken modulo
 translating their index vectors by N times the cycle lattice, form a finite
 complex whose nodes are the translation classes and whose adjacency records
 which boxes meet jointly; that complex is connected.
+
+Both are decided by cut conditions over the bonds (edge cuts whose two sides
+are connected) rather than by max-flows: a box holds a solution iff it meets
+Hoffman's circulation inequality on every bond side (Hoffman 1960; Schrijver,
+Combinatorial Optimization, Thm 11.2), and a disconnecting Point set exists
+iff one exists among the bonds. The max-flow stays the route for single
+semistability queries and is the tests' oracle for the cut route.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import deque
@@ -274,6 +282,52 @@ def _particular_solution(graph: Multigraph, target: Mapping[str, int]) -> dict |
     return c
 
 
+def _bonds(
+    graph: Multigraph, eids: list[str], what: str, budget: int | None = None
+) -> list[tuple[frozenset, tuple]]:
+    """Every bond of the graph as (S, signs), S one side of it.
+
+    For each connected component C, S runs over the vertex sets that hold C's
+    least vertex with both S and C - S connected; signs[i] is +1 when edge
+    eids[i] enters S (head in S), -1 when it leaves S, 0 otherwise (loops 0).
+    The 2^(|C|-1) candidate sides per component are charged before the scan.
+    """
+    comps = graph.components()
+    charge(sum(2 ** (len(c) - 1) for c in comps), what, budget)
+    edges = [graph.edge(eid) for eid in eids]
+    out = []
+    for comp in comps:
+        verts = sorted(comp)
+        pos = {v: i for i, v in enumerate(verts)}
+        nbrs = [0] * len(verts)
+        for e in edges:
+            if e.head in pos:
+                nbrs[pos[e.head]] |= 1 << pos[e.tail]
+                nbrs[pos[e.tail]] |= 1 << pos[e.head]
+
+        def connected(mask: int) -> bool:
+            seen = frontier = mask & -mask
+            while frontier:
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= nbrs[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = grow & mask & ~seen
+                seen |= frontier
+            return seen == mask
+
+        full = (1 << len(verts)) - 1
+        for half in range(1 << (len(verts) - 1)):
+            mask = half << 1 | 1
+            if mask != full and connected(mask) and connected(full ^ mask):
+                side = frozenset(v for v in verts if mask >> pos[v] & 1)
+                out.append(
+                    (side, tuple((e.head in side) - (e.tail in side) for e in edges))
+                )
+    return out
+
+
 def _congruence_feasible(
     c0: list[int], rows: list[list[int]], picked: list[int], N: int
 ) -> bool:
@@ -304,29 +358,27 @@ def is_generic(graph: Multigraph, param: StabilityParam, budget: int | None = No
 
     Equivalently: for every edge subset W whose removal leaves the graph
     disconnected, there is no integer c with d(c) = -eta and N | c_e on W.
-    Monotonicity in W would allow restricting to minimal disconnecting sets;
-    at this scale all subsets are scanned in size order.
+    A disconnected graph with any solution c fails at W = {}. Otherwise
+    feasibility can only fail as W grows, and every disconnecting set
+    contains a bond, so only the bonds delta(S) are checked; the budget is
+    charged their 2^(V-1) candidate sides first.
     """
     _check_param(graph, param)
     eids = sorted(graph.edge_ids)
-    charge(2 ** len(eids), "genericity scan subsets", budget)
+    bonds = _bonds(graph, eids, "genericity bond candidates", budget)
     target = {v: -x for v, x in param.eta.items()}
     c0map = _particular_solution(graph, target)
     if c0map is None:
         return True
+    if not graph.is_connected():
+        return False
     cycles = graph.cycle_basis()
     c0 = [c0map[e] for e in eids]
     rows = [[c[eid] for c in cycles] for eid in eids]
-    for size in range(len(eids) + 1):
-        for combo in itertools.combinations(range(len(eids)), size):
-            removed = {eids[i] for i in combo}
-            rest = Multigraph(
-                graph.vertices, (e for e in graph.edges if e.id not in removed)
-            )
-            if rest.n_components() <= 1:
-                continue
-            if _congruence_feasible(c0, rows, list(combo), param.N):
-                return False
+    for _, signs in bonds:
+        cut = [i for i, s in enumerate(signs) if s]
+        if _congruence_feasible(c0, rows, cut, param.N):
+            return False
     return True
 
 
@@ -367,10 +419,13 @@ def strata_complex(
     member of least squared norm, then least lexicographically.
 
     The joint box of rep and rep + delta, delta in {-1, 0, 1}^E, is face delta
-    of rep's box, so one max-flow per face gives both the faces and the
-    adjacency. The budget is charged the (N^2)^rank witnesses before the
-    scan, every node as it is found, and the len(nodes) * 3^E flows before
-    the first one runs.
+    of rep's box, so one feasibility check per face gives both the faces and
+    the adjacency. Each check is Hoffman's cut inequality on every bond side,
+    whose slack is a part fixed by rep plus a part fixed by delta; the face
+    parts are tabulated once per graph. The budget is charged the
+    (N^2)^rank witnesses and the 2^(V-1) bond candidates before the scan,
+    every node as it is found, and the len(nodes) * 3^E face checks before
+    the first one.
     """
     _check_param(graph, param)
     N = param.N
@@ -381,6 +436,7 @@ def strata_complex(
     c0map = _particular_solution(graph, target)
     if c0map is None:
         return StrataComplex(tuple(eids), (), (), (), True)
+    bonds = _bonds(graph, eids, "strata bond candidates", cap)
     c0 = [c0map[e] for e in eids]
     cycles = graph.cycle_basis()
     r = len(cycles)
@@ -439,20 +495,41 @@ def strata_complex(
     index = {canon(rep): i for i, rep in enumerate(reps)}
 
     charge(len(reps) * 3**m, "strata face checks", cap)
+    # Face delta of rep's box has hi_e = N (x_e + [d_e >= 0]) and
+    # lo_e = N (x_e + [d_e > 0]) (-1: low endpoint, 0: segment, +1: high
+    # endpoint). By Hoffman's theorem it holds a solution iff, for every bond
+    # side S and its complement, -eta(S) <= sum_in hi - sum_out lo, that is
+    # -a(rep) <= f(delta) with a = N sum_e sign_e x_e + eta(S) and
+    # f = N (sum_in [d_e >= 0] - sum_out [d_e > 0]). Each side's f is tabulated
+    # once over the faces as bitmasks of the faces with f >= t, so a rep's
+    # feasible faces are one AND per side.
+    faces = list(itertools.product((-1, 0, 1), repeat=m))
+    sides = []
+    for side, signs in bonds:
+        eta_side = sum(param.eta[v] for v in side)
+        for sg, eta_s in ((signs, eta_side), (tuple(-s for s in signs), -eta_side)):
+            f = [
+                N * sum((s > 0 and d >= 0) - (s < 0 and d > 0) for s, d in zip(sg, face))
+                for face in faces
+            ]
+            levels = sorted(set(f))
+            digits = f[::-1]
+            masks = [int("".join("1" if v >= t else "0" for v in digits), 2) for t in levels]
+            # masks[j]: the faces with f >= levels[j]; past the top level, none
+            sides.append((sg, eta_s, levels, masks + [0]))
     # each feasible non-central face is an adjacency; the pair is stored
     # translated so its first vector is a representative, whichever of the
     # two ways round is smaller
     all_faces = []
     pairs: set[tuple] = set()
     for i, rep in enumerate(reps):
+        feasible = (1 << len(faces)) - 1
+        for sg, eta_s, levels, masks in sides:
+            a = N * sum(s * x for s, x in zip(sg, rep)) + eta_s
+            feasible &= masks[bisect.bisect_left(levels, -a)]
         feasible_faces = []
-        for face in itertools.product((-1, 0, 1), repeat=m):
-            # -1: low endpoint N x, 0: segment [N x, N (x + 1)], +1: high endpoint
-            bounds = {
-                eid: (N * (x + (d > 0)), N * (x + (d >= 0)))
-                for eid, x, d in zip(eids, rep, face)
-            }
-            if not _box_flow_feasible(graph, param.eta, bounds):
+        for face, bit in zip(faces, bin(feasible)[:1:-1]):  # bit k is faces[k]
+            if bit == "0":
                 continue
             feasible_faces.append((face, face.count(0)))
             if any(face):

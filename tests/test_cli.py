@@ -42,6 +42,18 @@ def test_psi_evaluation(capsys):
     assert json.loads(out)["value"] == "31"
 
 
+def test_psi_weights_reject_unknown_edge(capsys):
+    code, out, _ = invoke(
+        capsys, "psi", "--graph", THETA,
+        "--weights", '{"e1": 2, "e2": 3, "e3": 5, "zz": 7}',
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error"}
+    assert doc["error"]["type"] == "DomainError"
+    assert "'zz'" in doc["error"]["message"]
+
+
 def test_volume_golden_bytes(capsys):
     code, out, err = invoke(
         capsys, "volume", "--graph", LOOP, "--weights", '{"e": 1}', "--q", "7"
@@ -293,8 +305,9 @@ def test_budget_env_respected(capsys, monkeypatch):
 
 
 def test_generic_search_budget_checked_before_any_candidate(capsys, monkeypatch):
-    """201^3 candidate weights on K4, each a 2^6 subset scan, is over the
-    default budget and must be refused before the first is_generic call."""
+    """201^3 candidate weights on K4, each a scan of 2^3 bond candidates, is
+    over the default budget and must be refused before the first is_generic
+    call."""
     calls = []
 
     def never(*args, **kwargs):

@@ -36,6 +36,14 @@ def test_int_matrix_basics():
         IntMatrix.from_rows([[1, 2], [3]])
 
 
+def test_from_rows_rejects_non_integers():
+    """Floats and bools are refused, not truncated or read as 0/1."""
+    for bad in (1.5, 2.0, True, "3", None):
+        with pytest.raises(DomainError, match="matrix entry must be an integer"):
+            IntMatrix.from_rows([[1, bad]])
+    assert IntMatrix.from_rows(iter([iter([1, -2])])).entries == ((1, -2),)
+
+
 def test_det_against_permutation_expansion():
     rng = random.Random(0xDE7)
     for _ in range(40):

@@ -381,11 +381,23 @@ def test_genericity_matches_brute_force():
         assert is_generic(g, param) == _brute_generic(g, eta, N)
 
 
-def test_genericity_budget():
-    g = random_multigraph(random.Random(3), 4, 6)
-    vals = {v: 0 for v in g.vertices}
-    with pytest.raises(BudgetExceededError):
-        is_generic(g, StabilityParam(vals, 2), budget=10)
+def test_genericity_budget(monkeypatch):
+    """The 2^(V-1) bond candidates are charged before any congruence check."""
+    congruence = stability._congruence_feasible
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return congruence(*args)
+
+    monkeypatch.setattr(stability, "_congruence_feasible", counted)
+    g = cycle_graph(5)
+    param = StabilityParam({v: 0 for v in g.vertices}, 2)
+    with pytest.raises(BudgetExceededError, match="bond candidates: 16 needed"):
+        is_generic(g, param, budget=10)
+    assert calls == []
+    is_generic(g, param, budget=16)
+    assert calls
 
 
 def test_loop_strata_are_cycles():
@@ -540,22 +552,91 @@ def test_strata_bytes_pinned():
 
 
 def test_strata_budget_checked_before_any_flow(monkeypatch):
-    """The face scan's len(nodes) * 3^m flow checks are charged up front, and a
-    full run makes exactly that many."""
-    flow = stability._box_flow_feasible
-    calls = []
+    """The face scan runs no max-flow, and its len(nodes) * 3^m face checks
+    are charged exactly, before the first one."""
 
-    def counted(*args):
-        calls.append(1)
-        return flow(*args)
+    def no_flow(*args):
+        raise AssertionError("max-flow called")
 
-    monkeypatch.setattr(stability, "_box_flow_feasible", counted)
+    monkeypatch.setattr(stability, "_box_flow_feasible", no_flow)
     param = StabilityParam({"u": -1, "v": 1}, 2)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="strata face checks: 324 needed"):
         strata_complex(theta_graph(), param, budget=100)
-    assert calls == []
-    sc = strata_complex(theta_graph(), param)
-    assert len(calls) == len(sc.nodes) * 3 ** len(sc.edge_order) == 324
+    with pytest.raises(BudgetExceededError, match="strata face checks: 324 needed"):
+        strata_complex(theta_graph(), param, budget=323)
+    sc = strata_complex(theta_graph(), param, budget=324)
+    assert len(sc.nodes) * 3 ** len(sc.edge_order) == 324
+    # semistability still goes through the max-flow
+    with pytest.raises(AssertionError, match="max-flow called"):
+        is_semistable(theta_graph(), param, {e: generic_orbit() for e in ("e1", "e2", "e3")})
+
+
+def _hoffman_feasible(graph, eta, bounds):
+    """The cut route: every component balanced, no empty box, and for each
+    bond side S (and its complement) -eta(S) <= sum_in hi - sum_out lo."""
+    if any(lo is not None and hi is not None and lo > hi for lo, hi in bounds.values()):
+        return False
+    if any(sum(eta[v] for v in comp) for comp in graph.components()):
+        return False
+    eids = sorted(graph.edge_ids)
+    for side, signs in stability._bonds(graph, eids, "bond candidates"):
+        eta_side = sum(eta[v] for v in side)
+        for sg, need in ((signs, -eta_side), ([-s for s in signs], eta_side)):
+            # an edge into S contributes its hi, an edge out of S minus its lo
+            ends = [(s, bounds[e][s > 0]) for s, e in zip(sg, eids) if s]
+            if any(end is None for _, end in ends):
+                continue
+            if need > sum(s * end for s, end in ends):
+                return False
+    return True
+
+
+def test_cut_route_matches_max_flow():
+    """Hoffman's condition over the bonds agrees with the max-flow on random
+    boxes with loops, unbounded ends, disconnected graphs and empty boxes."""
+    rng = random.Random(0x40FF)
+    verdicts = {True: 0, False: 0}
+    disconnected = 0
+    for _ in range(3000):
+        g = random_multigraph(rng, rng.randint(1, 5), rng.randint(0, 7))
+        disconnected += not g.is_connected()
+        vals = [rng.randint(-3, 3) for _ in range(len(g.vertices) - 1)]
+        eta = dict(zip(sorted(g.vertices), vals + [-sum(vals)]))
+        bounds = {}
+        for e in g.edge_ids:
+            lo = rng.randint(-3, 3)
+            hi = lo + rng.randint(-1, 3)
+            bounds[e] = (
+                None if rng.random() < 0.2 else lo,
+                None if rng.random() < 0.2 else hi,
+            )
+        verdict = stability._box_flow_feasible(g, eta, bounds)
+        assert _hoffman_feasible(g, eta, bounds) == verdict, (g.edges, eta, bounds)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 500 and disconnected > 500
+
+
+def test_strata_faces_match_max_flow():
+    """Every node's face list, read off the bond cut tables, is exactly the
+    faces of its box that the max-flow finds feasible, in product order."""
+    cases = list(_tiling_cases()) + list(_random_strata_cases())
+    cases.append((cycle_graph(4), {"v1": 1, "v2": 0, "v3": -1, "v4": 0}, 2))
+    checked = 0
+    for g, eta, N in cases:
+        sc = strata_complex(g, StabilityParam(eta, N))
+        m = len(sc.edge_order)
+        for rep, faces in zip(sc.nodes, sc.faces):
+            expected = []
+            for face in itertools.product((-1, 0, 1), repeat=m):
+                bounds = {
+                    eid: (N * (x + (d > 0)), N * (x + (d >= 0)))
+                    for eid, x, d in zip(sc.edge_order, rep, face)
+                }
+                if stability._box_flow_feasible(g, eta, bounds):
+                    expected.append((face, face.count(0)))
+                checked += 1
+            assert faces == tuple(expected)
+    assert checked > 1000
 
 
 def test_strata_adjacency_reads_off_faces():
