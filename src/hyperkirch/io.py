@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .graphs import DomainError, Edge, Multigraph
+from .graphs import DomainError, Edge, Multigraph, check_int, check_keys
 from .lattice import IntMatrix
 from .poly import MultilinearPoly
 from .stability import EdgeOrbit, StrataComplex
@@ -85,17 +85,12 @@ def int_map_from_doc(doc, what: str) -> dict:
         raise DomainError(f"{what} must be a JSON object")
     out = {}
     for key, value in doc.items():
-        if isinstance(value, bool):
-            raise DomainError(f"{what}[{key!r}] must be an integer")
-        if isinstance(value, int):
-            out[key] = value
-        elif isinstance(value, str):
+        if isinstance(value, str):
             try:
-                out[key] = int(value, 10)
+                value = int(value, 10)
             except ValueError:
                 raise DomainError(f"{what}[{key!r}] is not an integer: {value!r}")
-        else:
-            raise DomainError(f"{what}[{key!r}] must be an integer")
+        out[key] = check_int(value, f"{what} for {key!r}")
     return out
 
 
@@ -110,7 +105,7 @@ def orbit_spec_from_doc(doc) -> dict[str, EdgeOrbit]:
             continue
         if isinstance(value, dict) and len(value) == 1:
             (kind, level), = value.items()
-            if kind in ("segment", "point") and isinstance(level, int) and not isinstance(level, bool):
+            if kind in ("segment", "point"):
                 out[eid] = EdgeOrbit(kind, level)
                 continue
         raise DomainError(
@@ -198,6 +193,5 @@ def dump_json(doc) -> str:
 
 def eta_from_doc(doc, graph: Multigraph) -> dict:
     eta = int_map_from_doc(doc, "eta")
-    if set(eta) != set(graph.vertices):
-        raise DomainError("eta keys must be exactly the vertex ids")
+    check_keys(eta, graph.vertices, "eta")
     return eta

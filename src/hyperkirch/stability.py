@@ -10,30 +10,27 @@ reduction (the incidence matrix is totally unimodular, so bounds can be
 finite-boxed without losing solutions).
 
 The weight eta is generic when no semistable assignment's Point edges
-disconnect the graph. The semistable Segment assignments, taken modulo
-translating their index vectors by N times the cycle lattice, form a finite
-complex whose nodes are the translation classes and whose adjacency records
-which boxes meet jointly; that complex is connected.
+disconnect the graph; on a connected graph, when N divides eta(S) for no
+bond side S (see is_generic). The semistable Segment assignments, taken
+modulo translating their index vectors by N times the cycle lattice, form a
+finite complex whose nodes are the translation classes and whose adjacency
+records which boxes meet jointly; that complex is connected.
 
-Both are decided by cut conditions over the bonds (edge cuts whose two sides
-are connected) rather than by max-flows: a box holds a solution iff it meets
-Hoffman's circulation inequality on every bond side (Hoffman 1960; Schrijver,
-Combinatorial Optimization, Thm 11.2), and a disconnecting Point set exists
-iff one exists among the bonds. The max-flow stays the route for single
-semistability queries and is the tests' oracle for the cut route.
+The complex's faces are decided by Hoffman's circulation inequality on every
+bond side (Hoffman 1960; Schrijver, Combinatorial Optimization, Thm 11.2)
+rather than by max-flows, which stay the route for single semistability
+queries and the tests' oracle for the cut route.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 from .graphs import DomainError, Multigraph, charge, check_int, check_keys, int_map
-from .lattice import IntMatrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -104,6 +101,8 @@ def orbit_char_set(spec: Mapping[str, EdgeOrbit], N: int) -> dict[str, CharRange
     check_int(N, "N", 1)
     out = {}
     for eid, orbit in spec.items():
+        if not isinstance(orbit, EdgeOrbit):
+            raise DomainError(f"orbit for {eid!r} is not an EdgeOrbit: {orbit!r}")
         if orbit.kind == "generic":
             out[eid] = CharRange(None, None)
         else:
@@ -194,9 +193,7 @@ def _box_flow_feasible(
     for lo, hi in bounds.values():
         if lo is not None and hi is not None and lo > hi:
             return False
-        finite_mass += (abs(lo) if lo is not None else 0) + (
-            abs(hi) if hi is not None else 0
-        )
+        finite_mass += abs(lo or 0) + abs(hi or 0)
     cap_box = finite_mass + 1
     verts = sorted(graph.vertices)
     idx = {v: i for i, v in enumerate(verts)}
@@ -237,11 +234,11 @@ def is_semistable(
     return _box_flow_feasible(graph, param.eta, bounds)
 
 
-def _particular_solution(graph: Multigraph, target: Mapping[str, int]) -> dict | None:
-    """An integer edge vector c with d(c) = target, or None when none exists.
+def _particular_solution(graph: Multigraph, eta: Mapping[str, int]) -> dict | None:
+    """An integer edge vector c with d(c) = -eta, or None when none exists.
 
     Routes the demands through the greedy spanning forest; a solution exists
-    exactly when the target sums to zero on every connected component.
+    exactly when eta sums to zero on every connected component.
     """
     forest = graph.spanning_forest()
     tree_adj: dict[str, list] = {v: [] for v in graph.vertices}
@@ -250,7 +247,7 @@ def _particular_solution(graph: Multigraph, target: Mapping[str, int]) -> dict |
         tree_adj[e.head].append((e.tail, e))
         tree_adj[e.tail].append((e.head, e))
     c = {eid: 0 for eid in graph.edge_ids}
-    remaining = {v: target[v] for v in graph.vertices}
+    remaining = {v: -eta[v] for v in graph.vertices}
     seen: set[str] = set()
     for comp in graph.components():
         root = min(comp)
@@ -328,58 +325,31 @@ def _bonds(
     return out
 
 
-def _congruence_feasible(
-    c0: list[int], rows: list[list[int]], picked: list[int], N: int
-) -> bool:
-    """Is there t with c0 + basis * t divisible by N on the picked coordinates?
-
-    rows[e] holds the basis coefficients of edge e. Solved through the Smith
-    form of the picked block: the system D s = U v (mod N) splits into
-    scalar congruences, each solvable exactly when gcd(d_i, N) divides the
-    right hand side.
-    """
-    if not picked:
-        return True
-    block = IntMatrix.from_rows([rows[e] for e in picked])
-    u, d, _ = smith_normal_form(block)
-    v = [-c0[e] for e in picked]
-    uv = [sum(a * b for a, b in zip(urow, v)) for urow in u.entries]
-    m, r = block.rows, block.cols
-    for i in range(m):
-        di = d.entries[i][i] if i < min(m, r) else 0
-        g = math.gcd(di, N)
-        if uv[i] % g != 0:
-            return False
-    return True
-
-
 def is_generic(graph: Multigraph, param: StabilityParam, budget: int | None = None) -> bool:
     """No semistable assignment's Point edges disconnect the graph.
 
-    Equivalently: for every edge subset W whose removal leaves the graph
-    disconnected, there is no integer c with d(c) = -eta and N | c_e on W.
-    A disconnected graph with any solution c fails at W = {}. Otherwise
-    feasibility can only fail as W grows, and every disconnecting set
-    contains a bond, so only the bonds delta(S) are checked; the budget is
-    charged their 2^(V-1) candidate sides first.
+    That is, no edge set W whose removal disconnects the graph admits an
+    integer c with d(c) = -eta and N | c_e on W. If eta has a nonzero sum on
+    some component, no c exists and eta is generic; otherwise a disconnected
+    graph fails at W = {}. On a connected graph, eta is generic iff N divides
+    eta(S) for no bond side S (delta(S) with both sides connected), since:
+    1. (monotonicity in W) a c that serves W serves every subset of W;
+    2. (bonds suffice) for a component C of the graph minus W and a component
+       D of the graph minus C, S = V - D is connected and delta(S) lies in W;
+    3. (projection onto delta(S)) every c has signed sum -eta(S) over delta(S)
+       (entering S minus leaving), and cycles crossing delta(S) at any two of
+       its edges reach every signed-sum-zero change there, so N | c on
+       delta(S) is attainable iff N | eta(S).
+    The budget is charged the 2^(V-1) candidate sides before any is built.
     """
     _check_param(graph, param)
-    eids = sorted(graph.edge_ids)
-    bonds = _bonds(graph, eids, "genericity bond candidates", budget)
-    target = {v: -x for v, x in param.eta.items()}
-    c0map = _particular_solution(graph, target)
-    if c0map is None:
+    bonds = _bonds(graph, sorted(graph.edge_ids), "genericity bond candidates", budget)
+    comps = graph.components()
+    if any(sum(param.eta[v] for v in comp) for comp in comps):
         return True
-    if not graph.is_connected():
+    if len(comps) > 1:
         return False
-    cycles = graph.cycle_basis()
-    c0 = [c0map[e] for e in eids]
-    rows = [[c[eid] for c in cycles] for eid in eids]
-    for _, signs in bonds:
-        cut = [i for i, s in enumerate(signs) if s]
-        if _congruence_feasible(c0, rows, cut, param.N):
-            return False
-    return True
+    return all(sum(param.eta[v] for v in side) % param.N for side, _ in bonds)
 
 
 @dataclass(frozen=True)
@@ -432,8 +402,7 @@ def strata_complex(
     eids = sorted(graph.edge_ids)
     m = len(eids)
     cap = charge((N * N) ** graph.betti1(), "strata witness classes", budget)
-    target = {v: -x for v, x in param.eta.items()}
-    c0map = _particular_solution(graph, target)
+    c0map = _particular_solution(graph, param.eta)
     if c0map is None:
         return StrataComplex(tuple(eids), (), (), (), True)
     bonds = _bonds(graph, eids, "strata bond candidates", cap)

@@ -10,10 +10,23 @@ with seeded RNGs so runs are reproducible.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from functools import lru_cache
 
+import hyperkirch
 from hyperkirch import Edge, Multigraph
+
+
+def cli_env(extra: dict | None = None) -> dict:
+    """Environment for a `python -m hyperkirch.cli` child process: the
+    directory holding the imported package goes first on PYTHONPATH, so the
+    child runs the same code without an install."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hyperkirch.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra or {})
+    return env
 
 
 # named small graphs

@@ -7,7 +7,6 @@ time budgets are asserted, not aspirational.
 
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from fractions import Fraction
 
 from conftest import (
     brute_forest_count,
+    cli_env,
     cycle_graph,
     iso_catalog,
     loop_graph,
@@ -294,7 +294,7 @@ def _cli_stdout(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "hyperkirch.cli", *argv],
         capture_output=True,
-        env=dict(os.environ),
+        env=cli_env(),
         check=False,
     )
     assert proc.returncode == 0, proc.stderr.decode()

@@ -1,11 +1,10 @@
 """Command line behaviour: golden outputs, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
-from conftest import complete_graph, cycle_graph, path_graph, theta_graph
+from conftest import cli_env, complete_graph, cycle_graph, path_graph, theta_graph
 from hyperkirch import cli, stability
 from hyperkirch.cli import run
 from hyperkirch.io import graph_to_doc
@@ -268,13 +267,10 @@ def test_usage_errors(capsys):
 
 
 def _cli_bytes(argv, extra_env=None):
-    env = dict(os.environ)
-    if extra_env:
-        env.update(extra_env)
     proc = subprocess.run(
         [sys.executable, "-m", "hyperkirch.cli", *argv],
         capture_output=True,
-        env=env,
+        env=cli_env(extra_env),
         check=False,
     )
     assert proc.returncode == 0, proc.stderr.decode()

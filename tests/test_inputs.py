@@ -24,6 +24,7 @@ from hyperkirch import (
 THETA = theta_graph()
 ETA = {"u": -1, "v": 1}
 SPEC = {"e1": generic_orbit(), "e2": EdgeOrbit("segment", 0), "e3": EdgeOrbit("point", 1)}
+PARAM = StabilityParam(ETA, 2)
 
 BY_SCALE = {
     "strata_complex": lambda N: strata_complex(THETA, StabilityParam(ETA, N)),
@@ -65,6 +66,10 @@ CASES = [
     ("segment_orbit(1.5)", lambda: segment_orbit(1.5)),
     ("segment_orbit(True)", lambda: segment_orbit(True)),
     ("point_orbit('2')", lambda: point_orbit("2")),
+    *(
+        (f"is_semistable orbit {o!r}", lambda o=o: is_semistable(THETA, PARAM, {**SPEC, "e1": o}))
+        for o in ("generic", None)
+    ),
     ("boundary coefficient 1.5", lambda: THETA.boundary({"e1": 1.5, "e2": 0, "e3": 0})),
     ("boundary coefficient '1'", lambda: THETA.boundary({"e1": "1", "e2": 0, "e3": 0})),
     ("valuation_stratum_measure n=1.5", lambda: valuation_stratum_measure(2, 1.5)),

@@ -365,38 +365,88 @@ def test_two_cycle_and_bridge_genericity():
     assert not is_generic(bridge, StabilityParam({"v1": 2, "v2": -2}, 2))
 
 
+def test_square_genericity_turns_on_two_vertex_sides():
+    """No vertex of C4 has N | eta(v) here, so each verdict is decided by a
+    bond with two vertices on each side."""
+    g = cycle_graph(4)
+    for N, vals, generic in (
+        (2, (1, 1, -1, -1), False),
+        (4, (1, 3, 1, -5), False),
+        (4, (1, 1, 1, -3), True),
+    ):
+        eta = dict(zip(("v1", "v2", "v3", "v4"), vals))
+        assert is_generic(g, StabilityParam(eta, N)) == generic == _brute_generic(g, eta, N)
+
+
 def test_vacuous_genericity_without_solutions():
     g = Multigraph(["a", "b"], [])
     assert is_generic(g, StabilityParam({"a": 1, "b": -1}, 2))
 
 
+def _has_wide_bond(graph):
+    """Does some bond delta(S) have at least two vertices on each side?"""
+    verts = sorted(graph.vertices)
+
+    def connected(side):
+        return Multigraph(
+            side, [e for e in graph.edges if e.head in side and e.tail in side]
+        ).is_connected()
+
+    for size in range(2, len(verts) - 1):
+        for side in itertools.combinations(verts, size):
+            rest = [v for v in verts if v not in side]
+            if connected(list(side)) and connected(rest):
+                return True
+    return False
+
+
 def test_genericity_matches_brute_force():
     rng = random.Random(0x6E6)
+    seen = set()
     for _ in range(50):
         g = random_multigraph(rng, rng.randint(2, 4), rng.randint(1, 4))
         N = rng.randint(1, 3)
         vals = [rng.randint(-2, 2) for _ in range(len(g.vertices) - 1)]
         eta = dict(zip(sorted(g.vertices), vals + [-sum(vals)]))
         param = StabilityParam(eta, N)
-        assert is_generic(g, param) == _brute_generic(g, eta, N)
+        verdict = is_generic(g, param)
+        assert verdict == _brute_generic(g, eta, N)
+        seen.add(("generic", verdict))
+        if g.is_connected():
+            seen.add(("wide bond", _has_wide_bond(g)))
+        else:
+            solvable = not any(sum(eta[v] for v in c) for c in g.components())
+            seen.add(("disconnected", solvable))
+    # the branches the bond test relies on: both verdicts, a connected graph
+    # whose bond sides are not all single vertices, and disconnected graphs
+    # with and without a solution
+    assert seen >= {
+        ("generic", True),
+        ("generic", False),
+        ("wide bond", True),
+        ("disconnected", True),
+        ("disconnected", False),
+    }
 
 
 def test_genericity_budget(monkeypatch):
-    """The 2^(V-1) bond candidates are charged before any congruence check."""
-    congruence = stability._congruence_feasible
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return congruence(*args)
-
-    monkeypatch.setattr(stability, "_congruence_feasible", counted)
+    """The 2^(V-1) bond candidates are charged before any bond side is built."""
     g = cycle_graph(5)
     param = StabilityParam({v: 0 for v in g.vertices}, 2)
-    with pytest.raises(BudgetExceededError, match="bond candidates: 16 needed"):
-        is_generic(g, param, budget=10)
+    edge = Multigraph.edge
+    calls = []
+
+    def counted(self, edge_id):
+        calls.append(edge_id)
+        return edge(self, edge_id)
+
+    # _bonds looks the edges up only after charging the candidates
+    monkeypatch.setattr(Multigraph, "edge", counted)
+    for budget in (10, 15):
+        with pytest.raises(BudgetExceededError, match="genericity bond candidates: 16 needed"):
+            is_generic(g, param, budget=budget)
     assert calls == []
-    is_generic(g, param, budget=16)
+    assert not is_generic(g, param, budget=16)
     assert calls
 
 
