@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 
-from .graphs import DomainError, Multigraph, charge, check_keys
+from .graphs import DomainError, Multigraph, charge, check_int, check_keys
 from .io import (
     dump_json,
     eta_from_doc,
@@ -33,6 +33,7 @@ from .lattice import component_group, tau_matrix, tropical_jacobian
 from .poly import equal as poly_equal
 from .stability import (
     StabilityParam,
+    _genericity,
     is_generic,
     is_semistable,
     strata_complex,
@@ -163,12 +164,15 @@ def _run_generic(args):
     checked = 0
     found = None
     free = max(len(verts) - 1, 0)
-    # each candidate costs one is_generic scan of 2^(V-1) bond candidates
+    # charged as one scan of the 2^(V-1) bond candidates per candidate weight,
+    # though the bonds are listed once and shared by every candidate
     charge(
         (2 * radius + 1) ** free * 2**free,
         "genericity search bond candidates",
         args.budget,
     )
+    check_int(args.n, "N", 1)
+    verdict = _genericity(graph, args.budget)
     for head in itertools.product(range(-radius, radius + 1), repeat=free):
         last = -sum(head)
         if verts and not -radius <= last <= radius:
@@ -176,7 +180,7 @@ def _run_generic(args):
         values = list(head) + [last] if verts else []
         eta = dict(zip(verts, values))
         checked += 1
-        if is_generic(graph, StabilityParam(eta=eta, N=args.n), budget=args.budget):
+        if verdict(eta, args.n):
             found = eta
             break
     doc = {"N": args.n, "checked": checked, "found": found is not None, "radius": radius}

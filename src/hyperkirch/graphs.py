@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -301,19 +300,41 @@ class Multigraph:
         ids = frozenset(forest)
         for eid in ids:
             self.edge(eid)
-        size = len(self.vertices) - self.n_components()
-        if len(ids) != size:
+        if len(ids) != len(self.vertices) - self.n_components():
             raise DomainError("not a maximal spanning forest: wrong edge count")
-        parent = {v: v for v in self.vertices}
-        for eid in sorted(ids):
-            e = self.edge(eid)
-            if e.head == e.tail:
-                raise DomainError("not a maximal spanning forest: contains a loop")
-            a, b = _find(parent, e.head), _find(parent, e.tail)
-            if a == b:
-                raise DomainError("not a maximal spanning forest: contains a cycle")
-            parent[a] = b
+        if any(self._by_id[eid].head == self._by_id[eid].tail for eid in ids):
+            raise DomainError("not a maximal spanning forest: contains a loop")
         return ids
+
+    def _rooted(self, forest: frozenset[str]) -> tuple[list, dict, dict]:
+        """Root each tree of a forest at its least vertex, by one BFS per tree.
+
+        Returns the vertices in visiting order (every tree after the trees of
+        smaller roots, each vertex after its parent), up[v] = (parent, edge)
+        for every non-root vertex v, and each vertex's depth. A forest edge
+        that would close a cycle is left out of up.
+        """
+        adj: dict[str, list[tuple[str, Edge]]] = {v: [] for v in self.vertices}
+        for eid in sorted(forest):
+            e = self._by_id[eid]
+            adj[e.tail].append((e.head, e))
+            adj[e.head].append((e.tail, e))
+        order: list[str] = []
+        up: dict[str, tuple[str, Edge]] = {}
+        depth: dict[str, int] = {}
+        for root in sorted(self.vertices):
+            if root in depth:
+                continue
+            depth[root] = 0
+            tree = [root]
+            for cur in tree:  # the loop also visits what it appends
+                for nxt, e in adj[cur]:
+                    if nxt not in depth:
+                        depth[nxt] = depth[cur] + 1
+                        up[nxt] = (cur, e)
+                        tree.append(nxt)
+            order += tree
+        return order, up, depth
 
     def cycle_basis(self, forest: Iterable[str] | None = None) -> list[dict[str, int]]:
         """Fundamental cycles of a maximal spanning forest.
@@ -326,37 +347,27 @@ class Multigraph:
         greedy forest is used.
         """
         ids = self.spanning_forest() if forest is None else self._check_forest(forest)
-        adj: dict[str, list[tuple[str, Edge, int]]] = {v: [] for v in self.vertices}
-        for eid in sorted(ids):
-            e = self.edge(eid)
-            adj[e.tail].append((e.head, e, 1))
-            adj[e.head].append((e.tail, e, -1))
-        chords = sorted(eid for eid in self._by_id if eid not in ids)
+        _, up, depth = self._rooted(ids)
+        if len(up) != len(ids):
+            raise DomainError("not a maximal spanning forest: contains a cycle")
         cycles = []
-        for ceid in chords:
-            chord = self.edge(ceid)
-            coeffs = {eid: 0 for eid in self._by_id}
+        for ceid in sorted(eid for eid in self._by_id if eid not in ids):
+            chord = self._by_id[ceid]
+            coeffs = dict.fromkeys(self._by_id, 0)
             coeffs[ceid] = 1
-            if chord.head != chord.tail:
-                # walk the forest from head(chord) to tail(chord); a forest
-                # edge crossed tail-to-head enters with +1, else -1
-                prev: dict[str, tuple[str, Edge, int]] = {chord.head: (chord.head, chord, 0)}
-                queue = deque([chord.head])
-                while queue:
-                    cur = queue.popleft()
-                    if cur == chord.tail:
-                        break
-                    for nxt, e, sign in adj[cur]:
-                        if nxt not in prev:
-                            prev[nxt] = (cur, e, sign)
-                            queue.append(nxt)
-                if chord.tail not in prev:
-                    raise AssertionError("forest does not span the chord's component")
-                cur = chord.tail
-                while cur != chord.head:
-                    back, e, sign = prev[cur]
-                    coeffs[e.id] = sign
-                    cur = back
+            # close the chord by the tree path from its head to its tail,
+            # climbing from both ends to their common ancestor; a forest edge
+            # walked from its tail to its head enters with +1, else -1
+            a, b = chord.head, chord.tail
+            while a != b:
+                if depth[a] >= depth[b]:
+                    parent, e = up[a]
+                    coeffs[e.id] = 1 if e.tail == a else -1
+                    a = parent
+                else:
+                    parent, e = up[b]
+                    coeffs[e.id] = 1 if e.head == b else -1
+                    b = parent
             cycles.append(coeffs)
         return cycles
 

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import DomainError, Multigraph, check_int, check_keys
+from .graphs import DomainError, Multigraph, charge, check_int, check_keys
 from .lattice import _det_bareiss, tau_matrix
 from .poly import MultilinearPoly
 
@@ -99,7 +99,11 @@ def psi_delcon(graph: Multigraph) -> MultilinearPoly:
     The edgeless minor is the constant 1, a loop e multiplies every monomial
     by x_e, and an ordinary edge e gives x_e * P(delete) + P(contract).
     total_volume is the same engine with integer rules.
+
+    The budget is charged the monomial count before the recursion starts:
+    the maximal forest count, read off as the unit-weight Gram determinant.
     """
+    charge(psi_det(graph, dict.fromkeys(graph.edge_ids, 1)), "psi_delcon monomials")
     terms = _delcon(graph, {}, {frozenset(): 1}, _times_x, _split_terms)
     return MultilinearPoly.from_terms(frozenset(graph.edge_ids), terms)
 

@@ -237,45 +237,21 @@ def is_semistable(
 def _particular_solution(graph: Multigraph, eta: Mapping[str, int]) -> dict | None:
     """An integer edge vector c with d(c) = -eta, or None when none exists.
 
-    Routes the demands through the greedy spanning forest; a solution exists
-    exactly when eta sums to zero on every connected component.
+    Routes the demands through the greedy spanning forest, leaves first; a
+    solution exists exactly when eta sums to zero on every connected
+    component, that is when no demand is left at a tree's root.
     """
-    forest = graph.spanning_forest()
-    tree_adj: dict[str, list] = {v: [] for v in graph.vertices}
-    for eid in sorted(forest):
-        e = graph.edge(eid)
-        tree_adj[e.head].append((e.tail, e))
-        tree_adj[e.tail].append((e.head, e))
-    c = {eid: 0 for eid in graph.edge_ids}
+    order, up, _ = graph._rooted(graph.spanning_forest())
+    c = dict.fromkeys(graph.edge_ids, 0)
     remaining = {v: -eta[v] for v in graph.vertices}
-    seen: set[str] = set()
-    for comp in graph.components():
-        root = min(comp)
-        order = [root]
-        seen.add(root)
-        parent_edge: dict[str, tuple] = {}
-        i = 0
-        while i < len(order):
-            cur = order[i]
-            i += 1
-            for nxt, e in tree_adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent_edge[nxt] = (cur, e)
-                    order.append(nxt)
-        for v in reversed(order):
-            if v == root:
-                continue
-            parent, e = parent_edge[v]
-            need = remaining[v]
-            if e.head == v:
-                c[e.id] += need
-            else:
-                c[e.id] -= need
-            remaining[v] = 0
-            remaining[parent] += need
-        if remaining[root] != 0:
-            return None
+    for v in reversed(order):
+        if v not in up:
+            if remaining[v]:
+                return None
+            continue
+        parent, e = up[v]
+        c[e.id] = remaining[v] if e.head == v else -remaining[v]
+        remaining[parent] += remaining[v]
     return c
 
 
@@ -343,13 +319,26 @@ def is_generic(graph: Multigraph, param: StabilityParam, budget: int | None = No
     The budget is charged the 2^(V-1) candidate sides before any is built.
     """
     _check_param(graph, param)
+    return _genericity(graph, budget)(param.eta, param.N)
+
+
+def _genericity(graph: Multigraph, budget: int | None = None):
+    """is_generic's verdict as a function of an already checked (eta, N).
+
+    The bond sides and the components are listed once, for every call.
+    """
     bonds = _bonds(graph, sorted(graph.edge_ids), "genericity bond candidates", budget)
+    sides = [side for side, _ in bonds]
     comps = graph.components()
-    if any(sum(param.eta[v] for v in comp) for comp in comps):
-        return True
-    if len(comps) > 1:
-        return False
-    return all(sum(param.eta[v] for v in side) % param.N for side, _ in bonds)
+
+    def verdict(eta: Mapping[str, int], N: int) -> bool:
+        if any(sum(eta[v] for v in comp) for comp in comps):
+            return True
+        if len(comps) > 1:
+            return False
+        return all(sum(eta[v] for v in side) % N for side in sides)
+
+    return verdict
 
 
 @dataclass(frozen=True)

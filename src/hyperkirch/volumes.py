@@ -19,6 +19,7 @@ from typing import Mapping
 
 from .graphs import DomainError, Multigraph, charge, check_int, int_map
 from .kirchhoff import _delcon, psi_delcon, psi_enum
+from .lattice import tropical_jacobian
 
 
 def _is_prime(n: int) -> bool:
@@ -102,40 +103,23 @@ def central_fibre_point_count(graph: Multigraph, q: int) -> int:
 
 def trop_volume_check(graph: Multigraph, nu: Mapping[str, int], q: int) -> bool:
     """Fibre volume equals (1 - 1/q)^rank times the covolume of the quotient torus."""
-    from .lattice import tropical_jacobian
-
     _check_q(q)
     v = int_map(nu, graph.edge_ids, "valuation", 1)
     torus = tropical_jacobian(graph, v)
     return fibre_volume(graph, v, q) == Fraction(q - 1, q) ** torus.rank * torus.covolume
 
 
-def _stirling2_row(m: int) -> list[int]:
-    row = [1] + [0] * m
-    for n in range(1, m + 1):
-        new = [0] * (m + 1)
-        for k in range(1, n + 1):
-            new[k] = row[k - 1] + k * row[k]
-        row = new
-    return row
-
-
-def _power_series_sum(m: int, x: Fraction) -> Fraction:
-    """Exact value of sum over i >= 0 of i^m x^i, for 0 < x < 1."""
-    if m == 0:
-        return 1 / (1 - x)
-    s2 = _stirling2_row(m)
-    total = Fraction(0)
-    for i in range(1, m + 1):
-        total += s2[i] * math.factorial(i) * x**i / (1 - x) ** (i + 1)
-    return total
-
-
 def _power_tail(m: int, start: int, x: Fraction) -> Fraction:
-    """Exact value of sum over j >= start of j^m x^j, for 0 < x < 1."""
+    """Exact value of sum over j >= start of j^m x^j, for 0 < x < 1.
+
+    With P(i) = (start + i)^m, the sum is x^start times the sum over l <= m
+    of the l-th forward difference of P at 0 times x^l / (1 - x)^(l + 1).
+    """
+    diffs = [(start + i) ** m for i in range(m + 1)]
     total = Fraction(0)
     for l in range(m + 1):
-        total += math.comb(m, l) * start ** (m - l) * _power_series_sum(l, x)
+        total += diffs[0] * x**l / (1 - x) ** (l + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return total * x**start
 
 

@@ -302,18 +302,55 @@ def test_budget_env_respected(capsys, monkeypatch):
 
 def test_generic_search_budget_checked_before_any_candidate(capsys, monkeypatch):
     """201^3 candidate weights on K4, each a scan of 2^3 bond candidates, is
-    over the default budget and must be refused before the first is_generic
-    call."""
+    over the default budget and must be refused before any bond or candidate
+    is examined."""
     calls = []
 
     def never(*args, **kwargs):
         calls.append(args)
-        raise AssertionError("is_generic ran before the budget check")
+        raise AssertionError("bonds listed before the budget check")
 
-    monkeypatch.setattr(stability, "is_generic", never)
-    monkeypatch.setattr(cli, "is_generic", never)
+    monkeypatch.setattr(stability, "_bonds", never)
     k4 = json.dumps(graph_to_doc(complete_graph(4)))
     code, out, _ = invoke(capsys, "generic", "--graph", k4, "--n", "1", "--search", "100")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "BudgetExceededError"
     assert calls == []
+
+
+def test_generic_search_lists_bonds_once(capsys, monkeypatch):
+    """Every candidate weight is judged against one listing of the bonds."""
+    bonds = stability._bonds
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bonds(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_bonds", counted)
+    k4 = json.dumps(graph_to_doc(complete_graph(4)))
+    code, out, _ = invoke(capsys, "generic", "--graph", k4, "--n", "1", "--search", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["found"] is False and doc["checked"] > 1
+    assert len(calls) == 1
+
+
+def test_psi_and_volume_refuse_k9_before_the_engine(capsys):
+    """K9 has 4,782,969 forests: CLI psi and volume exit 1 with one budget
+    error record instead of running out of memory."""
+    k9 = complete_graph(9)
+    doc = json.dumps(graph_to_doc(k9))
+    ones = json.dumps({e: 1 for e in k9.edge_ids})
+    for argv in (
+        ["psi", "--graph", doc],
+        ["volume", "--graph", doc, "--weights", ones, "--q", "2"],
+    ):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "type": "BudgetExceededError",
+                "message": "psi_delcon monomials: 4782969 needed, budget is 2000000",
+            }
+        }

@@ -179,6 +179,30 @@ def test_cycle_basis_shape_and_boundaries():
             assert all(v == 0 for v in g.boundary(c).values())
 
 
+def test_cycle_basis_rejects_non_forests():
+    """A caller's forest must be a maximal spanning forest of known edges."""
+    g = Multigraph(
+        ["a", "b", "c", "d"],
+        [
+            Edge("e1", "b", "a"),
+            Edge("e2", "c", "b"),
+            Edge("e3", "a", "c"),
+            Edge("e4", "d", "c"),
+            Edge("e5", "d", "d"),
+        ],
+    )
+    assert len(g.cycle_basis(["e1", "e2", "e4"])) == 2
+    for forest, message in (
+        (["e1", "e2"], "wrong edge count"),
+        (["e1", "e4", "e5"], "contains a loop"),
+        (["e1", "e2", "e3"], "contains a cycle"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            g.cycle_basis(forest)
+    with pytest.raises(UnknownEdgeError):
+        g.cycle_basis(["e1", "e2", "zz"])
+
+
 def test_boundary_convention_and_linearity():
     g = Multigraph(["a", "b"], [Edge("e", "b", "a")])
     assert g.boundary({"e": 1}) == {"b": 1, "a": -1}

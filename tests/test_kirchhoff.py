@@ -21,6 +21,7 @@ from conftest import (
     theta_graph,
 )
 from hyperkirch import (
+    BudgetExceededError,
     DomainError,
     Edge,
     Multigraph,
@@ -223,6 +224,25 @@ def test_engine_classifies_only_the_edge_it_removes(monkeypatch):
         assert psi_delcon(g).terms == brute_psi_terms(g)
         assert total_volume(g) == brute_forest_count(g)
     assert kinds == {"loop", "bridge", "ordinary"}
+
+
+def test_psi_delcon_budget_charged_before_the_engine(monkeypatch):
+    """The monomial count (the forest count) is charged before any minor is
+    classified: K9 has 9^7 = 4,782,969 forests, over the default budget, and
+    the theta graph's three fit a budget of 3 but not of 2."""
+
+    def never(self, eid):
+        raise AssertionError("the engine ran before the budget check")
+
+    with monkeypatch.context() as m:
+        m.setattr(Multigraph, "classify_edge", never)
+        with pytest.raises(BudgetExceededError, match="psi_delcon monomials: 4782969 needed"):
+            psi_delcon(complete_graph(9))
+    monkeypatch.setenv("HYPERKIRCH_BUDGET", "2")
+    with pytest.raises(BudgetExceededError, match="psi_delcon monomials: 3 needed"):
+        psi_delcon(theta_graph())
+    monkeypatch.setenv("HYPERKIRCH_BUDGET", "3")
+    assert psi_delcon(theta_graph()).terms == brute_psi_terms(theta_graph())
 
 
 def test_engine_leaves_no_cyclic_garbage():

@@ -27,6 +27,7 @@ from hyperkirch import (
     valuation_stratum_measure,
     valuation_tail_measure,
 )
+from hyperkirch.volumes import _power_tail
 
 
 def test_total_volume_loop_and_cycles():
@@ -215,3 +216,18 @@ def test_oracle_monte_carlo_seeded():
     # the reported radius widens the proven truncation bound
     assert a[1] >= exact_bound
     assert a[0] >= 0
+
+
+def test_power_tail_closed_forms():
+    """_power_tail(m, s, x) is sum over j >= s of j^m x^j."""
+    xs = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 7))
+    for x in xs:
+        for s in range(8):
+            assert _power_tail(0, s, x) == x**s / (1 - x)
+            assert _power_tail(1, s, x) == x**s * (s / (1 - x) + x / (1 - x) ** 2)
+            for m in range(7):
+                assert _power_tail(m, s, x) == s**m * x**s + _power_tail(m, s + 1, x)
+    # against a long partial sum, whose remainder is below 10^-40
+    for m, s, x in ((4, 2, Fraction(1, 3)), (7, 5, Fraction(1, 2)), (10, 0, Fraction(1, 5))):
+        partial = sum(j**m * x**j for j in range(s, 400))
+        assert 0 < _power_tail(m, s, x) - partial < Fraction(1, 10**40)
