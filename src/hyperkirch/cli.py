@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 from .graphs import DomainError, Multigraph, charge, check_int, check_keys
 from .io import (
@@ -94,9 +95,13 @@ def _run_volume(args):
     graph = _graph_arg(args)
     nu = int_map_from_doc(load_json_arg(args.weights), "weights")
     vol = fibre_volume(graph, nu, args.q)
+    betti1 = graph.betti1()
+    # the volume is (1 - 1/q)^betti1 Psi(nu), so Psi(nu) is read back from it
+    psi_value = vol / Fraction(args.q - 1, args.q) ** betti1
+    assert psi_value.denominator == 1
     return {
-        "betti1": graph.betti1(),
-        "kirchhoff_value": psi_delcon(graph).evaluate(nu),
+        "betti1": betti1,
+        "kirchhoff_value": psi_value.numerator,
         "q": args.q,
         "volume": format_rational(vol),
     }

@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .graphs import DomainError, Multigraph, charge, check_int, int_map
-from .kirchhoff import _delcon, psi_delcon, psi_enum
+from .kirchhoff import _delcon, psi_delcon
 from .lattice import tropical_jacobian
 
 
@@ -123,6 +124,11 @@ def _power_tail(m: int, start: int, x: Fraction) -> Fraction:
     return total * x**start
 
 
+# the longest column of valuations the exhaustive oracle builds at once, so a
+# long sweep (betti1 = 1 and a large p^(k-1)) needs no memory per class
+_SWEEP_BLOCK = 4096
+
+
 def total_volume_padic_oracle(
     graph: Multigraph,
     params: LocalFieldParams,
@@ -133,7 +139,7 @@ def total_volume_padic_oracle(
 ) -> tuple[Fraction, Fraction]:
     """Estimate the total volume by integrating over residue classes, with a bound.
 
-    Enumerates the cycle-space coordinates t over (Z/p^k)^r, forms the edge
+    Ranges the cycle-space coordinates t over (Z/p^k)^r, forms the edge
     coordinates of the corresponding chain, keeps the classes whose edge
     coordinates all vanish mod p, truncates each edge valuation at k, and
     returns
@@ -142,6 +148,14 @@ def total_volume_padic_oracle(
 
     together with a proven truncation bound. Requires q = p so residue
     classes exhaust the unit ball coordinates exactly.
+
+    Each fundamental cycle has coefficient 1 on its own chord and 0 on every
+    other chord, so the chord coordinates of class t are the t_i themselves:
+    a class is kept exactly when every t_i lies in pZ/p^kZ, and then every
+    edge coordinate does too. The exhaustive sum visits only those
+    p^((k-1) r) classes, t = p s with s in (Z/p^(k-1))^r. It sweeps the last
+    coordinate of s as one column of valuations per edge, counts the
+    distinct valuation vectors, and evaluates Psi once per vector.
 
     Error bound: refining k to k+1 splits every class and can only raise a
     truncated valuation from k to k+1, so the estimates increase monotonically
@@ -162,6 +176,9 @@ def total_volume_padic_oracle(
     enumerated, and the returned radius is the truncation bound plus a 99
     percent confidence radius for the sampling error; the estimate is then
     not guaranteed to lie within the radius.
+
+    The budget is charged the (p^k)^r residue classes, or the samples, and
+    then the forest enumeration that lists the monomials of Psi.
     """
     if params.q != params.p:
         raise DomainError("the residue enumeration oracle requires q = p")
@@ -172,51 +189,53 @@ def total_volume_padic_oracle(
     pk = p**k
     if monte_carlo:
         check_int(samples, "samples", 2)
+        charge(samples, "oracle samples", budget)
     else:
         charge(pk**r, "oracle residue classes", budget)
+    forests = graph.spanning_forests(budget)
     cycles = graph.cycle_basis()
-    eids = sorted(graph.edge_ids)
+    # a bridge lies in no cycle and in every forest, so it has a zero row and
+    # appears in no monomial: valuation vectors cover the other edges only
+    eids = [eid for eid in sorted(graph.edge_ids) if any(c[eid] for c in cycles)]
     rows = [[c[eid] for c in cycles] for eid in eids]
-    non_bridge = sum(1 for row in rows if any(row))
-    psi = psi_enum(graph)
+    position = {eid: i for i, eid in enumerate(eids)}
     monomials = [
-        [eids.index(e) for e in mono] for mono in sorted(psi.terms, key=sorted)
+        [position[eid] for eid in eids if eid not in forest] for forest in forests
     ]
-    forest_count = len(monomials)
+    m = p ** (k - 1)
 
-    def class_value(t: tuple) -> int:
-        nu = []
-        for row in rows:
-            z = sum(ti * gi for ti, gi in zip(t, row)) % pk
-            if z == 0:
-                nu.append(k)
-            elif z % p:
-                return 0
-            else:
-                v = 0
-                while z % p == 0:
-                    z //= p
-                    v += 1
-                nu.append(v)
-        total = 0
-        for mono in monomials:
-            prod = 1
-            for i in mono:
-                prod *= nu[i]
-            total += prod
-        return total
+    def valuation(w: int) -> int:
+        """Truncated valuation of the edge coordinate p w, for w in Z/p^(k-1)."""
+        if w == 0:
+            return k
+        v = 1
+        while w % p == 0:
+            w //= p
+            v += 1
+        return v
+
+    psi_cache: dict[tuple, int] = {}
+
+    def psi(nu: tuple) -> int:
+        value = psi_cache.get(nu)
+        if value is None:
+            value = psi_cache[nu] = sum(math.prod(map(nu.__getitem__, mono)) for mono in monomials)
+        return value
 
     tail = _power_tail(r - 1, k + 1, Fraction(1, p))
-    bound = Fraction(p - 1) ** r * forest_count * non_bridge * tail
+    bound = Fraction(p - 1) ** r * len(forests) * len(eids) * tail
 
     if monte_carlo:
         rng = random.Random(seed)
-        vals = [
-            class_value(tuple(rng.randrange(pk) for _ in range(r)))
-            for _ in range(samples)
-        ]
-        s1 = sum(vals)
-        s2 = sum(v * v for v in vals)
+        s1 = s2 = 0
+        for _ in range(samples):
+            t = tuple(rng.randrange(pk) for _ in range(r))
+            if any(ti % p for ti in t):
+                continue  # a chord coordinate is a unit: the class adds 0
+            s = [ti // p for ti in t]
+            v = psi(tuple(valuation(sum(si * gi for si, gi in zip(s, row)) % m) for row in rows))
+            s1 += v
+            s2 += v * v
         mean = Fraction(s1, samples)
         estimate = Fraction(p - 1) ** r * mean
         var = (Fraction(s2) - Fraction(s1 * s1, samples)) / (samples - 1)
@@ -225,7 +244,17 @@ def total_volume_padic_oracle(
         )
         return estimate, bound + radius
 
-    total = sum(class_value(t) for t in itertools.product(range(pk), repeat=r))
+    val = [valuation(w) for w in range(m)]
+    lasts = [row[-1] for row in rows]
+    counts: Counter = Counter()
+    for head in itertools.product(range(m), repeat=r - 1):
+        # zip stops after the r - 1 head coordinates; lasts carries the rest
+        bases = [sum(si * gi for si, gi in zip(head, row)) for row in rows]
+        for lo in range(0, m, _SWEEP_BLOCK):
+            sweep = range(lo, min(lo + _SWEEP_BLOCK, m))
+            cols = [[val[(b + g * s) % m] for s in sweep] for b, g in zip(bases, lasts)]
+            counts.update(zip(*cols))
+    total = sum(n * psi(nu) for nu, n in counts.items())
     estimate = Fraction((p - 1) ** r * total, pk**r)
     return estimate, bound
 

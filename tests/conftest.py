@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import hyperkirch
 from hyperkirch import Edge, Multigraph
+from hyperkirch.volumes import _power_tail, _sqrt_upper
 
 
 def cli_env(extra: dict | None = None) -> dict:
@@ -166,6 +168,66 @@ def brute_psi_value(graph: Multigraph, weights) -> int:
             prod *= weights[eid]
         total += prod
     return total
+
+
+def brute_padic_oracle(
+    graph: Multigraph, p: int, k: int, monte_carlo: bool = False, samples: int = 0, seed: int = 0
+) -> tuple[Fraction, Fraction]:
+    """total_volume_padic_oracle by visiting every residue class t in (Z/p^k)^r.
+
+    Each class forms its edge coordinates as dot products of t with the rows
+    of the cycle basis, is dropped when one of them is a unit, and otherwise
+    sums the brute-force monomials at the truncated valuations; no valuation
+    table, no shortcut to the kept classes and no cache. The Monte Carlo
+    branch draws the same classes as the library, in the same order. The
+    truncation tail and the rational square root are the library's, which
+    tests of their own check.
+    """
+    r = graph.betti1()
+    if r == 0:
+        return Fraction(1), Fraction(0)
+    pk = p**k
+    cycles = graph.cycle_basis()
+    eids = sorted(graph.edge_ids)
+    rows = [[c[eid] for c in cycles] for eid in eids]
+    monomials = list(brute_psi_terms(graph))
+
+    def class_value(t) -> int:
+        nu = {}
+        for eid, row in zip(eids, rows):
+            z = sum(ti * gi for ti, gi in zip(t, row)) % pk
+            if z == 0:
+                nu[eid] = k
+            elif z % p:
+                return 0
+            else:
+                v = 0
+                while z % p == 0:
+                    z //= p
+                    v += 1
+                nu[eid] = v
+        total = 0
+        for mono in monomials:
+            prod = 1
+            for eid in mono:
+                prod *= nu[eid]
+            total += prod
+        return total
+
+    non_bridge = sum(1 for row in rows if any(row))
+    tail = _power_tail(r - 1, k + 1, Fraction(1, p))
+    bound = Fraction(p - 1) ** r * len(monomials) * non_bridge * tail
+    if monte_carlo:
+        rng = random.Random(seed)
+        vals = [
+            class_value(tuple(rng.randrange(pk) for _ in range(r))) for _ in range(samples)
+        ]
+        s1, s2 = sum(vals), sum(v * v for v in vals)
+        var = (Fraction(s2) - Fraction(s1 * s1, samples)) / (samples - 1)
+        radius = Fraction(p - 1) ** r * Fraction(2576, 1000) * _sqrt_upper(var / samples)
+        return Fraction(p - 1) ** r * Fraction(s1, samples), bound + radius
+    total = sum(class_value(t) for t in itertools.product(range(pk), repeat=r))
+    return Fraction((p - 1) ** r * total, pk**r), bound
 
 
 # exhaustive catalog of multigraph isomorphism classes on <= 3 vertices

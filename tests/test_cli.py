@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from conftest import cli_env, complete_graph, cycle_graph, path_graph, theta_graph
-from hyperkirch import cli, stability
+from hyperkirch import cli, kirchhoff, stability
 from hyperkirch.cli import run
 from hyperkirch.io import graph_to_doc
 
@@ -107,6 +107,42 @@ def test_total_volume_with_oracle(capsys):
     assert doc["total_volume"] == 3
     assert doc["oracle"]["within_bound"] is True
     assert doc["oracle"]["method"] == "exhaustive"
+
+
+def test_volume_builds_psi_once(capsys, monkeypatch):
+    """The Kirchhoff value is read back from the one fibre volume, so one
+    CLI volume call runs the deletion-contraction engine once."""
+    delcon = kirchhoff._delcon
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return delcon(*args, **kwargs)
+
+    monkeypatch.setattr(kirchhoff, "_delcon", counted)
+    weights = '{"e1": 2, "e2": 3, "e3": 5}'
+    code, out, _ = invoke(capsys, "volume", "--graph", THETA, "--weights", weights, "--q", "3")
+    assert code == 0
+    # Psi(2, 3, 5) = 6 + 10 + 15 and (2/3)^2 * 31 = 124/9
+    assert json.loads(out) == {"betti1": 2, "kirchhoff_value": 31, "q": 3, "volume": "124/9"}
+    assert len(calls) == 1
+    code, out, _ = invoke(capsys, "volume", "--graph", THETA, "--weights", weights, "--q", "1")
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == "q must be an integer >= 2"
+
+
+def test_monte_carlo_samples_capped(capsys):
+    code, out, _ = invoke(
+        capsys, "total-volume", "--graph", CYCLE3, "--oracle", "--p", "2", "--k", "3",
+        "--monte-carlo", "--samples", "3000000",
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "type": "BudgetExceededError",
+            "message": "oracle samples: 3000000 needed, budget is 2000000",
+        }
+    }
 
 
 def test_point_count(capsys):

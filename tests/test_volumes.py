@@ -7,7 +7,9 @@ import pytest
 
 from conftest import (
     brute_forest_count,
+    brute_padic_oracle,
     brute_psi_value,
+    complete_graph,
     cycle_graph,
     disjoint_union,
     iso_catalog,
@@ -17,6 +19,7 @@ from conftest import (
     theta_graph,
 )
 from hyperkirch import (
+    BudgetExceededError,
     DomainError,
     LocalFieldParams,
     central_fibre_point_count,
@@ -198,6 +201,58 @@ def test_oracle_budget():
     g = theta_graph()
     with pytest.raises(DomainError):
         total_volume_padic_oracle(g, LocalFieldParams(q=3, p=3, k=6), budget=100)
+
+
+def test_oracle_budget_reaches_forest_enumeration():
+    """K5 at p = 2, k = 1 passes the 2^6 class charge under budget 100, and
+    its forest enumeration (C(10, 4) = 210 candidate subsets) must then be
+    charged against the same budget."""
+    g = complete_graph(5)
+    with pytest.raises(BudgetExceededError) as info:
+        total_volume_padic_oracle(g, LocalFieldParams(q=2, p=2, k=1), budget=100)
+    assert str(info.value) == "forest enumeration candidate subsets: 210 needed, budget is 100"
+
+
+def test_oracle_samples_capped_before_any_draw(monkeypatch):
+    g = theta_graph()
+    params = LocalFieldParams(q=2, p=2, k=3)
+    assert total_volume_padic_oracle(g, params, budget=50, monte_carlo=True, samples=50)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a class was drawn before the samples were charged")
+
+    monkeypatch.setattr(random.Random, "randrange", never)
+    with pytest.raises(BudgetExceededError) as info:
+        total_volume_padic_oracle(g, params, budget=50, monte_carlo=True, samples=51)
+    assert str(info.value) == "oracle samples: 51 needed, budget is 50"
+    with pytest.raises(BudgetExceededError):
+        total_volume_padic_oracle(g, params, monte_carlo=True, samples=2_000_001)
+
+
+def test_oracle_matches_the_per_class_reference():
+    """Exhaustive and Monte Carlo results equal the visit-every-class sum of
+    the tests' reference, exactly, estimate and bound."""
+    rng = random.Random(0x0AC1)
+    betti, disconnected, loops, bridges = set(), False, False, False
+    for i in range(320):
+        g = random_multigraph(rng, rng.randint(1, 5), rng.randint(0, 7))
+        if i % 4 == 0:
+            g = disjoint_union(g, random_multigraph(rng, rng.randint(1, 3), rng.randint(0, 3)))
+        r = g.betti1()
+        p = rng.choice([q for q in (2, 3, 5) if q**r <= 2000])
+        k = max(j for j in range(1, 5) if j == 1 or p ** (j * r) <= 2000)
+        params = LocalFieldParams(q=p, p=p, k=k)
+        assert total_volume_padic_oracle(g, params) == brute_padic_oracle(g, p, k)
+        samples, seed = rng.randint(2, 200), rng.randrange(1000)
+        assert total_volume_padic_oracle(
+            g, params, monte_carlo=True, samples=samples, seed=seed
+        ) == brute_padic_oracle(g, p, k, monte_carlo=True, samples=samples, seed=seed)
+        betti.add(r)
+        disconnected |= g.n_components() > 1
+        loops |= any(e.head == e.tail for e in g.edges)
+        bridges |= any(g.classify_edge(e) == "bridge" for e in g.edge_ids)
+    assert {0, 1, 2, 3} <= betti
+    assert disconnected and loops and bridges
 
 
 def test_oracle_repeat_determinism():
