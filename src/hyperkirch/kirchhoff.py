@@ -11,7 +11,10 @@ Engines:
   matrix_tree_dual   evaluation via the reciprocal-weight Laplacian
 
 psi_delcon and volumes.total_volume share one deletion-contraction engine,
-_delcon, with polynomial and with integer rules.
+_delcon, with polynomial and with integer rules. It removes edges in an
+order fixed once per call by a breadth-first layering of the graph
+(_ordered_core), and strips pendant trees (_prune), which carry no
+variable, so its cost depends on the graph's structure, not on its edge ids.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import DomainError, Multigraph, charge, check_int, check_keys
+from .graphs import DomainError, Edge, Multigraph, charge, check_int, check_keys
 from .lattice import _det_bareiss, tau_matrix
 from .poly import MultilinearPoly
 
@@ -31,26 +34,136 @@ def psi_enum(graph: Multigraph) -> MultilinearPoly:
     return MultilinearPoly.from_terms(all_ids, terms)
 
 
+def _ordered_core(graph: Multigraph) -> Multigraph:
+    """The graph _delcon starts from: pruned, with its edges in elimination order.
+
+    Every component is laid out by a breadth-first search from a
+    pseudo-peripheral vertex (Cuthill-McKee): start at a vertex of least
+    degree, search to a farthest vertex of least degree, and repeat while the
+    depth grows. The search visits neighbours by ascending degree. An edge is
+    ranked by the lower and then the higher position of its endpoints, so
+    the minors' frontier, the vertices that touch both removed and remaining
+    edges, stays about one breadth-first layer wide. A degree counts distinct
+    neighbours; ids are only the last tie-break, of vertices and of parallel
+    edges.
+    """
+    graph = _prune(graph)
+    adj: dict[str, set[str]] = {v: set() for v in graph.vertices}
+    for e in graph.edges:
+        if e.head != e.tail:
+            adj[e.head].add(e.tail)
+            adj[e.tail].add(e.head)
+
+    def key(v):
+        return (len(adj[v]), v)
+
+    near = {v: sorted(ws, key=key) for v, ws in adj.items()}
+
+    def search(root):
+        order, depth = [root], {root: 0}
+        for v in order:  # the loop also visits what it appends
+            for w in near[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    order.append(w)
+        return order, depth
+
+    position: dict[str, int] = {}
+    for start in sorted(graph.vertices, key=key):
+        if start in position:
+            continue
+        order, depth = search(start)
+        while True:
+            far = depth[order[-1]]
+            order, depth = search(min((v for v in order if depth[v] == far), key=key))
+            if depth[order[-1]] <= far:
+                break
+        for v in order:
+            position[v] = len(position)
+
+    def rank(e):
+        a, b = position[e.head], position[e.tail]
+        return (a, b, e.id) if a <= b else (b, a, e.id)
+
+    return Multigraph._minor(graph.vertices, tuple(sorted(graph.edges, key=rank)))
+
+
+def _prune(graph: Multigraph) -> Multigraph:
+    """The graph less its pendant trees and its edgeless vertices.
+
+    Strips, repeatedly, each non-loop edge with an endpoint of non-loop
+    degree 1, and drops every vertex left with no edge; a leaf that carries
+    a loop keeps its vertex. Returns graph itself when there is nothing to
+    strip.
+    """
+    degree = dict.fromkeys(graph.vertices, 0)
+    looped = set()
+    for e in graph.edges:
+        if e.head == e.tail:
+            looped.add(e.head)
+        else:
+            degree[e.head] += 1
+            degree[e.tail] += 1
+    leaves = [v for v, d in degree.items() if d == 1]
+    if not leaves and all(d or v in looped for v, d in degree.items()):
+        return graph
+    stripped = set()
+    if leaves:
+        incident: dict[str, list[Edge]] = {v: [] for v in graph.vertices}
+        for e in graph.edges:
+            if e.head != e.tail:
+                incident[e.head].append(e)
+                incident[e.tail].append(e)
+        while leaves:
+            v = leaves.pop()
+            if degree[v] != 1:
+                continue  # its edge went with the other end, a two-vertex tree
+            e = next(x for x in incident[v] if x.id not in stripped)
+            stripped.add(e.id)
+            u = e.tail if e.head == v else e.head
+            degree[v] = 0
+            degree[u] -= 1
+            if degree[u] == 1:
+                leaves.append(u)
+    return Multigraph._minor(
+        tuple(v for v in graph.vertices if degree[v] or v in looped),
+        tuple(e for e in graph.edges if e.id not in stripped),
+    )
+
+
 def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     """The deletion-contraction recursion, valued by the caller's three rules.
 
-    An edgeless minor is worth empty. Otherwise the smallest edge id e is
-    classified once: a loop is deleted and its value passed to loop(e, v), a
+    An edgeless minor is worth empty. Otherwise its first edge e is
+    classified: a loop is deleted and its value passed to loop(e, v), a
     bridge is contracted, and an ordinary edge gives split(e, deleted,
-    contracted).
+    contracted). The first edge is the least one in the elimination order
+    that _ordered_core fixes once per call from the graph's structure, so
+    the cost depends on the graph and not on its edge ids.
+
+    Pendant trees are stripped by _prune, from the graph before the loop
+    and from every deletion child, where most leaves appear; a contraction
+    can leave one only at its merged vertex, which the bridge rule or a
+    later deletion child's pass removes. Every stripped edge is a bridge:
+    it lies in every maximal forest and in no monomial, so the minor
+    without it has the same polynomial and the same forest count, which is
+    the value the bridge rule would give. Dropping an edgeless vertex
+    changes neither.
 
     Repeated minors are shared through memo, keyed on the minor's vertex and
-    edge tuples as they stand, unsorted. The key is canonical for the
-    labelled minor: delete and contract keep the surviving vertices and
-    edges in their original order, and a contraction keeps the smaller
-    endpoint id, so each merged vertex is named by the smallest id it
-    absorbed, whatever the order of the steps that reached it.
+    edge tuples as they stand. The key is canonical for the labelled minor:
+    the edges are put in elimination order once, delete, contract and
+    _prune keep the surviving vertices and edges in order, and a
+    contraction keeps the smaller endpoint id, so each merged vertex is
+    named by the smallest id it absorbed, whatever the order of the steps
+    that reached it.
 
     The recursion runs on an explicit stack, so its depth is not bounded by
     the interpreter's: a minor is expanded into its children on its first
     pop, and valued from their memo entries when it is popped again.
     """
-    stack: list = [(graph, None)]
+    root = _ordered_core(graph)
+    stack: list = [(root, None)]
     while stack:
         item, plan = stack.pop()
         if plan is None:
@@ -60,14 +173,14 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
             if not item.edges:
                 memo[key] = empty
                 continue
-            e = min(x.id for x in item.edges)
+            e = item.edges[0].id
             kind = item.classify_edge(e)
             if kind == "loop":
                 children = (item.delete(e),)
             elif kind == "bridge":
                 children = (item.contract(e),)
             else:
-                children = (item.delete(e), item.contract(e))
+                children = (_prune(item.delete(e)), item.contract(e))
             # a frame is (graph, None) until expanded, then (key, plan), which
             # keeps the children's keys but not the child graphs
             stack.append((key, (e, kind, [(c.vertices, c.edges) for c in children])))
@@ -80,7 +193,7 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
                 memo[item] = memo[keys[0]]
             else:
                 memo[item] = split(e, memo[keys[0]], memo[keys[1]])
-    return memo[(graph.vertices, graph.edges)]
+    return memo[(root.vertices, root.edges)]
 
 
 def _times_x(e: str, terms: dict) -> dict:

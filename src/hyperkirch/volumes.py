@@ -177,21 +177,23 @@ def total_volume_padic_oracle(
     percent confidence radius for the sampling error; the estimate is then
     not guaranteed to lie within the radius.
 
-    The budget is charged the (p^k)^r residue classes, or the samples, and
-    then the forest enumeration that lists the monomials of Psi.
+    The budget is charged the p^((k-1) r) kept classes the exhaustive sum
+    visits, or the samples, and then the forest enumeration that lists the
+    monomials of Psi. The first charge is made before the acyclic shortcut,
+    so a malformed budget or sample count is refused on every graph.
     """
     if params.q != params.p:
         raise DomainError("the residue enumeration oracle requires q = p")
     p, k = params.p, params.k
     r = graph.betti1()
-    if r == 0:
-        return Fraction(1), Fraction(0)
     pk = p**k
     if monte_carlo:
         check_int(samples, "samples", 2)
         charge(samples, "oracle samples", budget)
     else:
-        charge(pk**r, "oracle residue classes", budget)
+        charge(p ** ((k - 1) * r), "oracle residue classes", budget)
+    if r == 0:
+        return Fraction(1), Fraction(0)
     forests = graph.spanning_forests(budget)
     cycles = graph.cycle_basis()
     # a bridge lies in no cycle and in every forest, so it has a zero row and

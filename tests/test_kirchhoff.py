@@ -13,6 +13,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    grid_graph,
     iso_catalog,
     loop_graph,
     path_graph,
@@ -31,6 +32,7 @@ from hyperkirch import (
     psi_enum,
     total_volume,
 )
+from hyperkirch.kirchhoff import _delcon, _ordered_core, _prune, _split_terms, _times_x
 
 
 def test_theta_polynomial_frozen():
@@ -204,13 +206,16 @@ def test_delcon_repeat_calls_are_stable():
 
 
 def test_engine_classifies_only_the_edge_it_removes(monkeypatch):
-    """psi_delcon and total_volume classify the smallest edge of each minor
-    and no other, and reach all three kinds of edge on these graphs."""
+    """psi_delcon and total_volume classify the least-ranked edge of each
+    minor and no other, and reach all three kinds of edge on these graphs.
+    Pendant edges are pruned before they come up, so the bridge reached is
+    the one joining two triangles."""
     classify = Multigraph.classify_edge
     kinds = set()
+    rank = {}
 
     def checked(self, eid):
-        assert eid == min(self.edge_ids)
+        assert eid == min(self.edge_ids, key=rank.__getitem__)
         kind = classify(self, eid)
         kinds.add(kind)
         return kind
@@ -220,7 +225,17 @@ def test_engine_classifies_only_the_edge_it_removes(monkeypatch):
         ["a", "b", "c"],
         [Edge("e1", "a", "a"), Edge("e2", "b", "a"), Edge("e3", "c", "b"), Edge("e4", "b", "c")],
     )
-    for g in (cycle_graph(20), complete_graph(5), loop_and_bridge):
+    triangles = Multigraph(
+        ["a", "b", "c", "x", "y", "z"],
+        [
+            Edge("e1", "b", "a"), Edge("e2", "c", "b"), Edge("e3", "a", "c"),
+            Edge("e4", "x", "c"),
+            Edge("e5", "y", "x"), Edge("e6", "z", "y"), Edge("e7", "x", "z"),
+        ],
+    )
+    for g in (cycle_graph(20), complete_graph(5), loop_and_bridge, triangles):
+        rank.clear()
+        rank.update((eid, i) for i, eid in enumerate(_ordered_core(g).edge_ids))
         assert psi_delcon(g).terms == brute_psi_terms(g)
         assert total_volume(g) == brute_forest_count(g)
     assert kinds == {"loop", "bridge", "ordinary"}
@@ -258,6 +273,143 @@ def test_engine_leaves_no_cyclic_garbage():
 
 
 def test_delcon_on_a_1200_edge_path():
-    """The engine's stack is its own, so a minor chain longer than the
-    interpreter's recursion limit still finishes."""
+    """A 1,200-edge path is one pendant tree, pruned in one pass without
+    recursion before the engine's loop starts."""
     assert psi_delcon(path_graph(1200)).terms == {frozenset(): 1}
+
+
+def test_delcon_on_a_1200_loop_chain():
+    """The engine's stack is its own, so a minor chain longer than the
+    interpreter's recursion limit still finishes: one vertex with 1,200
+    loops is 1,200 nested loop deletions, which pruning cannot shorten.
+    The polynomial rules run on the engine directly, since psi_delcon's
+    charge would first take a 1,200 x 1,200 Gram determinant."""
+    g = Multigraph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, 1201)])
+    assert total_volume(g) == 1
+    terms = _delcon(g, {}, {frozenset(): 1}, _times_x, _split_terms)
+    assert terms == {frozenset(g.edge_ids): 1}
+
+
+def _relabelled(graph, ids, rng=None):
+    """graph with its i-th edge renamed ids[i], the edges listed in an
+    order shuffled by rng when one is given."""
+    edges = [Edge(i, e.head, e.tail) for i, e in zip(ids, graph.edges)]
+    if rng is not None:
+        rng.shuffle(edges)
+    return Multigraph(graph.vertices, edges)
+
+
+def _count_steps(monkeypatch):
+    """Count Multigraph.delete and contract calls into the returned list's
+    only entry."""
+    steps = [0]
+    for name in ("delete", "contract"):
+        method = getattr(Multigraph, name)
+
+        def counted(self, eid, method=method):
+            steps[0] += 1
+            return method(self, eid)
+
+        monkeypatch.setattr(Multigraph, name, counted)
+    return steps
+
+
+def test_delcon_cost_does_not_depend_on_edge_ids(monkeypatch):
+    """Five labellings of the 4x4 grid: grid_graph's ids (every horizontal
+    edge before every vertical one), row-major ids and three seeded
+    shuffles, which also shuffle the order the edges are listed in.
+    psi_delcon gives the same polynomial under each, and its engine makes
+    about as many delete and contract calls."""
+    g = grid_graph(4, 4)
+    names = list(g.edge_ids)
+    # row-major: each vertex's right edge, then its down edge, row by row,
+    # which is the order of the (tail, head) names
+    position = {(e.tail, e.head): k for k, e in enumerate(g.edges)}
+    row_major = [None] * len(names)
+    for n, pair in enumerate(sorted(position)):
+        row_major[position[pair]] = f"r{n:02d}"
+    labellings = [(names, None), (row_major, None)]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        shuffled = names[:]
+        rng.shuffle(shuffled)
+        labellings.append((shuffled, rng))
+    steps = _count_steps(monkeypatch)
+    expected = None
+    counts = []
+    for ids, rng in labellings:
+        # a monomial as the bitmask of its edges' positions in g, which is
+        # the same under every labelling and cheaper to build than a set
+        bit = {eid: 1 << i for i, eid in enumerate(ids)}
+        steps[0] = 0
+        terms = psi_delcon(_relabelled(g, ids, rng)).terms
+        counts.append(steps[0])
+        terms = {sum(map(bit.__getitem__, mono)): c for mono, c in terms.items()}
+        if expected is None:
+            expected = terms
+            assert len(terms) == 100352 and set(terms.values()) == {1}
+        assert terms == expected
+    assert max(counts) <= 2 * min(counts), counts
+
+
+def test_pruning_turns_a_cycle_into_a_chain(monkeypatch):
+    """Every deletion child of a cycle is a path, which pruning removes
+    whole, so C_n costs a delete and a contract per edge down to the last
+    loop, which is deleted: 2n - 1 steps."""
+    steps = _count_steps(monkeypatch)
+    for n in (3, 40):
+        steps[0] = 0
+        assert total_volume(cycle_graph(n)) == n
+        assert steps[0] == 2 * n - 1
+
+
+def _with_pendant_trees(rng, core):
+    """core plus random trees hung off its vertices, some leaves carrying
+    loops, and an isolated vertex or two, with or without a loop."""
+    verts = list(core.vertices)
+    edges = list(core.edges)
+    for t in range(rng.randint(1, 6)):
+        new = f"t{t}"
+        edges.append(Edge(f"p{t}", new, rng.choice(verts)))
+        verts.append(new)
+        if rng.random() < 0.4:
+            edges.append(Edge(f"l{t}", new, new))
+    for i in range(rng.randint(0, 2)):
+        verts.append(f"i{i}")
+        if rng.random() < 0.5:
+            edges.append(Edge(f"il{i}", f"i{i}", f"i{i}"))
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    return Multigraph(verts, [edges[i] for i in order])
+
+
+def test_pruning_agrees_with_brute_force():
+    """Pendant trees with loops at some leaves, several components and
+    isolated vertices: pruning strips only bridges, leaves no vertex of
+    non-loop degree 1 and no edgeless vertex, and psi_delcon and
+    total_volume still match brute force."""
+    rng = random.Random(0x9E11)
+    for trial in range(150):
+        if trial % 2:
+            core = disjoint_union(
+                random_multigraph(rng, rng.randint(1, 3), rng.randint(0, 4)),
+                random_multigraph(rng, rng.randint(1, 3), rng.randint(0, 4)),
+            )
+        else:
+            core = random_multigraph(rng, rng.randint(1, 4), rng.randint(0, 6))
+        g = _with_pendant_trees(rng, core)
+        pruned = _prune(g)
+        kept = set(pruned.edge_ids)
+        assert all(g.classify_edge(eid) == "bridge" for eid in g.edge_ids if eid not in kept)
+        degree = dict.fromkeys(pruned.vertices, 0)
+        looped = set()
+        for e in pruned.edges:
+            if e.head == e.tail:
+                looped.add(e.head)
+            else:
+                degree[e.head] += 1
+                degree[e.tail] += 1
+        assert all(d >= 2 or (d == 0 and v in looped) for v, d in degree.items())
+        assert all(e.head in degree and e.tail in degree for e in pruned.edges)
+        assert psi_delcon(g).terms == brute_psi_terms(g)
+        assert total_volume(g) == brute_forest_count(g)

@@ -12,6 +12,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    grid_graph,
     iso_catalog,
     loop_graph,
     path_graph,
@@ -51,6 +52,12 @@ def test_total_volume_is_forest_count():
 
 def test_total_volume_on_a_1200_edge_path():
     assert total_volume(path_graph(1200)) == 1
+
+
+def test_total_volume_on_the_5x5_grid():
+    """557,568,000 spanning trees; grid_graph's ids put every horizontal
+    edge before every vertical one, an order the engine no longer follows."""
+    assert total_volume(grid_graph(5, 5)) == 557_568_000
 
 
 def test_total_volume_multiplicative_over_components():
@@ -201,6 +208,31 @@ def test_oracle_budget():
     g = theta_graph()
     with pytest.raises(DomainError):
         total_volume_padic_oracle(g, LocalFieldParams(q=3, p=3, k=6), budget=100)
+
+
+def test_oracle_checks_its_inputs_on_an_acyclic_graph():
+    """budget and samples are checked before the betti1 = 0 shortcut."""
+    g = path_graph(2)
+    params = LocalFieldParams(q=2, p=2, k=3)
+    with pytest.raises(DomainError, match="samples must be an integer"):
+        total_volume_padic_oracle(g, params, monte_carlo=True, samples="x")
+    for monte_carlo in (False, True):
+        with pytest.raises(DomainError, match="budget must be an integer"):
+            total_volume_padic_oracle(g, params, budget=True, monte_carlo=monte_carlo)
+    assert total_volume_padic_oracle(g, params) == (1, 0)
+
+
+def test_oracle_charges_the_classes_it_visits():
+    """K4 (betti1 3) at p = 2, k = 7 visits 2^(6*3) = 262,144 kept classes,
+    under the default budget, though (p^k)^3 = 2,097,152 is over it."""
+    g = complete_graph(4)
+    params = LocalFieldParams(q=2, p=2, k=7)
+    est, bound = total_volume_padic_oracle(g, params)
+    assert est <= 16 <= est + bound
+    assert total_volume_padic_oracle(g, params, budget=262_144) == (est, bound)
+    with pytest.raises(BudgetExceededError) as info:
+        total_volume_padic_oracle(g, params, budget=262_143)
+    assert str(info.value) == "oracle residue classes: 262144 needed, budget is 262143"
 
 
 def test_oracle_budget_reaches_forest_enumeration():
