@@ -4,6 +4,9 @@ Every subcommand reads JSON documents (inline or by file path), writes one
 JSON document to stdout (sorted keys, two-space indent), and exits 0 on
 success, 1 on a domain error (reported as a JSON error record on stdout),
 2 on a usage error. Output is byte-deterministic for fixed inputs.
+
+Each subcommand imports the library modules it calls when it runs, so a
+process loads and compiles only those.
 """
 
 from __future__ import annotations
@@ -29,24 +32,6 @@ from .io import (
     strata_to_doc,
     strata_to_dot,
 )
-from .kirchhoff import psi_delcon, psi_enum
-from .lattice import component_group, tau_matrix, tropical_jacobian
-from .poly import equal as poly_equal
-from .stability import (
-    StabilityParam,
-    _genericity,
-    is_generic,
-    is_semistable,
-    strata_complex,
-)
-from .volumes import (
-    LocalFieldParams,
-    central_fibre_point_count,
-    fibre_volume,
-    total_volume,
-    total_volume_padic_oracle,
-    trop_volume_check,
-)
 
 
 def _graph_arg(args) -> Multigraph:
@@ -62,6 +47,9 @@ def _warn_small_scale(n: int) -> None:
 
 
 def _run_psi(args):
+    from .kirchhoff import psi_delcon, psi_enum
+    from .poly import equal as poly_equal
+
     graph = _graph_arg(args)
     if args.method == "enum":
         poly = psi_enum(graph)
@@ -80,6 +68,8 @@ def _run_psi(args):
 
 
 def _run_tamagawa(args):
+    from .lattice import component_group, tau_matrix
+
     graph = _graph_arg(args)
     weights = int_map_from_doc(load_json_arg(args.weights), "weights")
     gram = tau_matrix(graph, weights)
@@ -92,6 +82,8 @@ def _run_tamagawa(args):
 
 
 def _run_volume(args):
+    from .volumes import fibre_volume
+
     graph = _graph_arg(args)
     nu = int_map_from_doc(load_json_arg(args.weights), "weights")
     vol = fibre_volume(graph, nu, args.q)
@@ -108,6 +100,8 @@ def _run_volume(args):
 
 
 def _run_total_volume(args):
+    from .volumes import LocalFieldParams, total_volume, total_volume_padic_oracle
+
     graph = _graph_arg(args)
     total = total_volume(graph)
     doc = {"total_volume": total}
@@ -135,6 +129,8 @@ def _run_total_volume(args):
 
 
 def _run_point_count(args):
+    from .volumes import central_fibre_point_count, total_volume
+
     graph = _graph_arg(args)
     return {
         "betti1": graph.betti1(),
@@ -145,6 +141,8 @@ def _run_point_count(args):
 
 
 def _run_stability(args):
+    from .stability import StabilityParam, is_semistable
+
     graph = _graph_arg(args)
     eta = eta_from_doc(load_json_arg(args.eta), graph)
     spec = orbit_spec_from_doc(load_json_arg(args.orbits))
@@ -154,6 +152,8 @@ def _run_stability(args):
 
 
 def _run_generic(args):
+    from .stability import StabilityParam, _genericity, is_generic
+
     graph = _graph_arg(args)
     _warn_small_scale(args.n)
     if args.search is None:
@@ -195,6 +195,8 @@ def _run_generic(args):
 
 
 def _run_strata(args):
+    from .stability import StabilityParam, strata_complex
+
     graph = _graph_arg(args)
     eta = eta_from_doc(load_json_arg(args.eta), graph)
     _warn_small_scale(args.n)
@@ -206,6 +208,9 @@ def _run_strata(args):
 
 
 def _run_trop(args):
+    from .lattice import tropical_jacobian
+    from .volumes import fibre_volume, trop_volume_check
+
     graph = _graph_arg(args)
     weights = int_map_from_doc(load_json_arg(args.weights), "weights")
     torus = tropical_jacobian(graph, weights)

@@ -88,6 +88,58 @@ def enumeration_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
+def _record(cls):
+    """Make cls a frozen record of the fields its own annotations name, in order.
+
+    A class attribute of a field's name is that field's default. The class
+    gains an __init__ that takes the fields by position or by name and then
+    runs __post_init__ if the class has one; __eq__ and __hash__ over the
+    tuple of field values, a record comparing equal only to a record of its
+    own class; and a __repr__ that shows every field. Setting or deleting an
+    attribute of an instance raises AttributeError.
+
+    __init__, __eq__ and __hash__ are compiled from source, so missing,
+    repeated and unexpected arguments raise the interpreter's own TypeError
+    and each call costs what a hand-written method does.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+    body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+
+    def values(obj):
+        return "(" + "".join(f"{obj}.{n}, " for n in names) + ")"
+
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(
+        f"def __init__(self{params}):\n{body or '    pass'}\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return {values('self')} == {values('other')}\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash({values('self')})\n",
+        namespace,
+    )
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    generated = (namespace["__init__"], namespace["__eq__"], namespace["__hash__"])
+    for method in (*generated, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
 def _find(parent: dict, x):
     """Root of x in a union-find parent map, halving the path on the way."""
     while parent[x] != x:

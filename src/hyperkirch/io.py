@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .graphs import DomainError, Edge, Multigraph, check_int, check_keys
-from .lattice import IntMatrix
-from .poly import MultilinearPoly
-from .stability import EdgeOrbit, StrataComplex
+
+if TYPE_CHECKING:  # annotations only: the CLI loads these modules per subcommand
+    from .lattice import IntMatrix
+    from .poly import MultilinearPoly
+    from .stability import EdgeOrbit, StrataComplex
 
 
 def load_json_arg(text: str):
@@ -96,6 +99,8 @@ def int_map_from_doc(doc, what: str) -> dict:
 
 def orbit_spec_from_doc(doc) -> dict[str, EdgeOrbit]:
     """Decode {"e": "generic" | {"segment": n} | {"point": n}}."""
+    from .stability import EdgeOrbit
+
     if not isinstance(doc, dict):
         raise DomainError("orbit spec must be a JSON object")
     out = {}

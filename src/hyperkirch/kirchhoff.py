@@ -98,37 +98,66 @@ def _prune(graph: Multigraph) -> Multigraph:
     """
     degree = dict.fromkeys(graph.vertices, 0)
     looped = set()
-    for e in graph.edges:
-        if e.head == e.tail:
-            looped.add(e.head)
+    for _, head, tail in graph.edges:
+        if head == tail:
+            looped.add(head)
         else:
-            degree[e.head] += 1
-            degree[e.tail] += 1
+            degree[head] += 1
+            degree[tail] += 1
     leaves = [v for v, d in degree.items() if d == 1]
     if not leaves and all(d or v in looped for v, d in degree.items()):
         return graph
-    stripped = set()
+    stripped: set[Edge] = set()
     if leaves:
         incident: dict[str, list[Edge]] = {v: [] for v in graph.vertices}
         for e in graph.edges:
-            if e.head != e.tail:
-                incident[e.head].append(e)
-                incident[e.tail].append(e)
+            _, head, tail = e
+            if head != tail:
+                incident[head].append(e)
+                incident[tail].append(e)
         while leaves:
             v = leaves.pop()
             if degree[v] != 1:
                 continue  # its edge went with the other end, a two-vertex tree
-            e = next(x for x in incident[v] if x.id not in stripped)
-            stripped.add(e.id)
-            u = e.tail if e.head == v else e.head
+            for e in incident[v]:
+                if e not in stripped:
+                    break
+            stripped.add(e)
+            _, head, tail = e
+            u = tail if head == v else head
             degree[v] = 0
             degree[u] -= 1
             if degree[u] == 1:
                 leaves.append(u)
     return Multigraph._minor(
         tuple(v for v in graph.vertices if degree[v] or v in looped),
-        tuple(e for e in graph.edges if e.id not in stripped),
+        tuple(e for e in graph.edges if e not in stripped),
     )
+
+
+def _strips(graph: Multigraph, suspects) -> bool:
+    """Whether _prune would strip anything from graph, given that every vertex
+    outside suspects has at least two non-loop edges, or none and a loop.
+
+    A suspect's count of edge ends c is its non-loop degree plus two per
+    loop, so an even c of at least 2 clears it, a c below 2 condemns it, and
+    an odd c condemns it only when all but one of those ends are its loops.
+    The counts run over the edge tuples' columns, not edge by edge.
+    """
+    if not graph.edges:
+        return bool(suspects)
+    _, heads, tails = zip(*graph.edges)
+    pairs = None
+    for v in suspects:
+        c = heads.count(v) + tails.count(v)
+        if c < 2:
+            return True
+        if c % 2:
+            if pairs is None:
+                pairs = list(zip(heads, tails))
+            if c - 2 * pairs.count((v, v)) == 1:
+                return True
+    return False
 
 
 def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
@@ -150,6 +179,13 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     the value the bridge rule would give. Dropping an edgeless vertex
     changes neither.
 
+    A deletion child is pruned only when _strips finds something to strip.
+    Each frame carries its minor's suspects, the only vertices that may have
+    one non-loop edge, or none and no loop: none for a pruned graph, the
+    merged vertex added by a contraction, the loop's vertex by a loop
+    deletion, and the deleted edge's endpoints by a deletion. A deletion
+    child is clean once checked or pruned, so it starts with none again.
+
     Repeated minors are shared through memo, keyed on the minor's vertex and
     edge tuples as they stand. The key is canonical for the labelled minor:
     the edges are put in elimination order once, delete, contract and
@@ -163,9 +199,11 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     pop, and valued from their memo entries when it is popped again.
     """
     root = _ordered_core(graph)
-    stack: list = [(root, None)]
+    # a frame is (graph, None, suspects) until expanded, then (key, plan, ()),
+    # whose plan keeps the children's keys but not the child graphs
+    stack: list = [(root, None, ())]
     while stack:
-        item, plan = stack.pop()
+        item, plan, suspects = stack.pop()
         if plan is None:
             key = (item.vertices, item.edges)
             if key in memo:
@@ -173,24 +211,35 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
             if not item.edges:
                 memo[key] = empty
                 continue
-            e = item.edges[0].id
+            e, head, tail = item.edges[0]
             kind = item.classify_edge(e)
             if kind == "loop":
-                children = (item.delete(e),)
-            elif kind == "bridge":
-                children = (item.contract(e),)
-            else:
-                children = (_prune(item.delete(e)), item.contract(e))
-            # a frame is (graph, None) until expanded, then (key, plan), which
-            # keeps the children's keys but not the child graphs
-            stack.append((key, (e, kind, [(c.vertices, c.edges) for c in children])))
-            stack.extend((c, None) for c in reversed(children))
+                deleted = item.delete(e)
+                stack.append((key, (e, kind, (deleted.vertices, deleted.edges)), ()))
+                stack.append((deleted, None, suspects if head in suspects else (*suspects, head)))
+                continue
+            # the merged vertex keeps the smaller id
+            keep, drop = (head, tail) if head < tail else (tail, head)
+            merged = (*(v for v in suspects if v != keep and v != drop), keep) if suspects else (keep,)
+            if kind == "bridge":
+                contracted = item.contract(e)
+                stack.append((key, (e, kind, (contracted.vertices, contracted.edges)), ()))
+                stack.append((contracted, None, merged))
+                continue
+            deleted = item.delete(e)
+            if _strips(deleted, (*suspects, head, tail)):
+                deleted = _prune(deleted)
+            contracted = item.contract(e)
+            keys = ((deleted.vertices, deleted.edges), (contracted.vertices, contracted.edges))
+            stack.append((key, (e, kind, keys), ()))
+            stack.append((contracted, None, merged))
+            stack.append((deleted, None, ()))
         else:
             e, kind, keys = plan
             if kind == "loop":
-                memo[item] = loop(e, memo[keys[0]])
+                memo[item] = loop(e, memo[keys])
             elif kind == "bridge":
-                memo[item] = memo[keys[0]]
+                memo[item] = memo[keys]
             else:
                 memo[item] = split(e, memo[keys[0]], memo[keys[1]])
     return memo[(root.vertices, root.edges)]
@@ -214,9 +263,12 @@ def psi_delcon(graph: Multigraph) -> MultilinearPoly:
     total_volume is the same engine with integer rules.
 
     The budget is charged the monomial count before the recursion starts:
-    the maximal forest count, read off as the unit-weight Gram determinant.
+    the maximal forest count, read off as the unit-weight Gram determinant
+    of the graph without its loops. A loop lies in no forest, so dropping
+    it keeps the count and saves a row and a column per loop.
     """
-    charge(psi_det(graph, dict.fromkeys(graph.edge_ids, 1)), "psi_delcon monomials")
+    loopless = Multigraph._minor(graph.vertices, tuple(e for e in graph.edges if e.head != e.tail))
+    charge(psi_det(loopless, dict.fromkeys(loopless.edge_ids, 1)), "psi_delcon monomials")
     terms = _delcon(graph, {}, {frozenset(): 1}, _times_x, _split_terms)
     return MultilinearPoly.from_terms(frozenset(graph.edge_ids), terms)
 

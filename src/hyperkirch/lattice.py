@@ -8,13 +8,12 @@ and the associated flat torus data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import DomainError, Multigraph, check_int, int_map
+from .graphs import DomainError, Multigraph, _record, check_int, int_map
 
 
-@dataclass(frozen=True)
+@_record
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
 
@@ -231,7 +230,7 @@ def tau_matrix(
     return IntMatrix(tuple(rows))
 
 
-@dataclass(frozen=True)
+@_record
 class ComponentGroup:
     """Finite abelian group in invariant factor form d1 | d2 | ... | dr.
 
@@ -263,7 +262,7 @@ def component_group(graph: Multigraph, weights: Mapping[str, int]) -> ComponentG
     return ComponentGroup(factors)
 
 
-@dataclass(frozen=True)
+@_record
 class TropTorus:
     """Flat torus presented by a cycle pairing: rank, Gram matrix, covolume."""
 

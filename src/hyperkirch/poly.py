@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import DomainError
+from .graphs import DomainError, _record, int_map
 
 
-@dataclass(frozen=True)
+@_record
 class MultilinearPoly:
     """Integer polynomial whose monomials are subsets of a fixed variable set.
 
@@ -41,10 +40,9 @@ class MultilinearPoly:
                     del clean[m]
         return MultilinearPoly(vs, clean)
 
-    def evaluate(self, x: Mapping[str, int]):
-        missing = self.variables - set(x)
-        if missing:
-            raise DomainError(f"missing variable assignment for {sorted(missing)}")
+    def evaluate(self, x: Mapping[str, int]) -> int:
+        """Value at an integer point: x must give an int to exactly the variables."""
+        x = int_map(x, sorted(self.variables), "variable assignment")
         total = 0
         for mono, coeff in self.terms.items():
             prod = coeff

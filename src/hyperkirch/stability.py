@@ -27,13 +27,12 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import DomainError, Multigraph, charge, check_int, check_keys, int_map
+from .graphs import DomainError, Multigraph, _record, charge, check_int, check_keys, int_map
 
 
-@dataclass(frozen=True)
+@_record
 class StabilityParam:
     """Integer vertex weight eta (summing to zero) and box scale N >= 1."""
 
@@ -41,7 +40,7 @@ class StabilityParam:
     N: int
 
 
-@dataclass(frozen=True)
+@_record
 class EdgeOrbit:
     """Shape of one edge's orbit: kind in {'generic', 'segment', 'point'}.
 
@@ -70,7 +69,7 @@ def point_orbit(n: int) -> EdgeOrbit:
     return EdgeOrbit("point", n)
 
 
-@dataclass(frozen=True)
+@_record
 class CharRange:
     """Closed integer interval, with None encoding an unbounded end."""
 
@@ -341,7 +340,7 @@ def _genericity(graph: Multigraph, budget: int | None = None):
     return verdict
 
 
-@dataclass(frozen=True)
+@_record
 class StrataComplex:
     """Quotient complex of semistable Segment assignments.
 

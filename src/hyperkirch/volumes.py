@@ -14,11 +14,10 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import DomainError, Multigraph, charge, check_int, int_map
+from .graphs import DomainError, Multigraph, _record, charge, check_int, int_map
 from .kirchhoff import _delcon, psi_delcon
 from .lattice import tropical_jacobian
 
@@ -34,7 +33,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@_record
 class LocalFieldParams:
     """Residue cardinality q = p^j, residue characteristic p, working precision k."""
 

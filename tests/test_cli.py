@@ -1,5 +1,6 @@
 """Command line behaviour: golden outputs, exit codes, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -390,3 +391,63 @@ def test_psi_and_volume_refuse_k9_before_the_engine(capsys):
                 "message": "psi_delcon monomials: 4782969 needed, budget is 2000000",
             }
         }
+
+
+# Runs each argument vector through cli.run in one fresh interpreter, after
+# dropping every hyperkirch module the previous vector loaded, and prints
+# whether the bare interpreter had dataclasses and, per vector, the exit code
+# and the hyperkirch modules (and dataclasses) loaded by then.
+_LOADED_MODULES = """
+import contextlib, io, sys
+bare = "dataclasses" in sys.modules
+out = {}
+for label, argv in VECTORS:
+    for name in [n for n in sys.modules if n.partition(".")[0] == "hyperkirch"]:
+        del sys.modules[name]
+    from hyperkirch import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    out[label] = (code, sorted(n for n in sys.modules
+                               if n.partition(".")[0] == "hyperkirch" or n == "dataclasses"))
+print(repr((bare, out)))
+"""
+
+
+def test_each_subcommand_loads_only_what_it_runs():
+    """One child process, so one interpreter start for every subcommand.
+    fragment and a usage error load no library module beyond graphs and io,
+    psi loads no stability, and no subcommand loads dataclasses unless the
+    bare interpreter already had it."""
+    ones = json.dumps({"e1": 1, "e2": 1, "e3": 1})
+    eta = '{"u": -1, "v": 1}'
+    vectors = [
+        ("psi", ["psi", "--graph", THETA, "--method", "both", "--weights", ones]),
+        ("tamagawa", ["tamagawa", "--graph", THETA, "--weights", ones]),
+        ("volume", ["volume", "--graph", THETA, "--weights", ones, "--q", "2"]),
+        ("total-volume", ["total-volume", "--graph", THETA, "--oracle", "--p", "2", "--k", "2"]),
+        ("point-count", ["point-count", "--graph", THETA, "--q", "2"]),
+        ("stability", ["stability", "--graph", THETA, "--eta", eta, "--n", "2",
+                       "--orbits", '{"e1": "generic", "e2": {"segment": 0}, "e3": {"point": 1}}']),
+        ("generic", ["generic", "--graph", THETA, "--n", "2", "--search", "1"]),
+        ("strata", ["strata", "--graph", THETA, "--eta", eta, "--n", "2"]),
+        ("trop", ["trop", "--graph", THETA, "--weights", ones, "--q", "2"]),
+        ("fragment", ["fragment", "--graph", THETA, "--counts", '{"e1": 2, "e2": 1, "e3": 1}']),
+        ("usage-error", ["psi", "--method", "nope"]),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"VECTORS = {vectors!r}\n{_LOADED_MODULES}"],
+        capture_output=True,
+        env=cli_env(),
+        check=True,
+    )
+    bare, loaded = ast.literal_eval(proc.stdout.decode())
+    assert set(loaded) == {label for label, _ in vectors}
+    for label, (code, modules) in loaded.items():
+        assert code == (2 if label == "usage-error" else 0), label
+        assert bare or "dataclasses" not in modules, label
+    core = ["hyperkirch", "hyperkirch.cli", "hyperkirch.graphs", "hyperkirch.io"]
+    assert loaded["fragment"][1] == core
+    assert loaded["usage-error"][1] == core
+    assert "hyperkirch.stability" not in loaded["psi"][1]
+    assert "hyperkirch.volumes" not in loaded["psi"][1]
+    assert "hyperkirch.kirchhoff" not in loaded["strata"][1]

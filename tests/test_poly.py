@@ -32,11 +32,13 @@ def test_from_terms_rejects_foreign_variables():
 
 
 def test_evaluate_requires_all_variables():
+    """evaluate takes an int for exactly its variables: a missing or unknown
+    key, a float or a bool raises DomainError."""
     p = _poly("ab", [(frozenset("ab"), 1), (frozenset(), 5)])
     assert p.evaluate({"a": 2, "b": 3}) == 11
-    assert p.evaluate({"a": 2, "b": 3, "zzz": 9}) == 11
-    with pytest.raises(DomainError):
-        p.evaluate({"a": 2})
+    for bad in ({"a": 2}, {"a": 2, "b": 3, "zzz": 9}, {"a": 2, "b": 0.5}, {"a": True, "b": 3}):
+        with pytest.raises(DomainError):
+            p.evaluate(bad)
     assert evaluate(p, {"a": -1, "b": 4}) == 1
 
 
