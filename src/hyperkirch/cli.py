@@ -15,7 +15,6 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 
 from .graphs import DomainError, Multigraph, charge, check_int, check_keys
 from .io import (
@@ -82,6 +81,8 @@ def _run_tamagawa(args):
 
 
 def _run_volume(args):
+    from fractions import Fraction
+
     from .volumes import fibre_volume
 
     graph = _graph_arg(args)
@@ -129,13 +130,15 @@ def _run_total_volume(args):
 
 
 def _run_point_count(args):
-    from .volumes import central_fibre_point_count, total_volume
+    from .volumes import central_fibre_point_count
 
     graph = _graph_arg(args)
+    points = central_fibre_point_count(graph, args.q)
+    betti1 = graph.betti1()
     return {
-        "betti1": graph.betti1(),
-        "forest_count": total_volume(graph),
-        "point_count": central_fibre_point_count(graph, args.q),
+        "betti1": betti1,
+        "forest_count": points // args.q**betti1,
+        "point_count": points,
         "q": args.q,
     }
 

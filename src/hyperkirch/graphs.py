@@ -220,9 +220,6 @@ class Multigraph:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._by_id
-
     # connectivity
 
     def components(self) -> list[frozenset[str]]:

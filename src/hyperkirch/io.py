@@ -13,12 +13,13 @@ in "p/q" or plain integer form.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .graphs import DomainError, Edge, Multigraph, check_int, check_keys
 
 if TYPE_CHECKING:  # annotations only: the CLI loads these modules per subcommand
+    from fractions import Fraction
+
     from .lattice import IntMatrix
     from .poly import MultilinearPoly
     from .stability import EdgeOrbit, StrataComplex
@@ -121,11 +122,14 @@ def orbit_spec_from_doc(doc) -> dict[str, EdgeOrbit]:
 
 def format_rational(value) -> str:
     """Exact decimal string for integers, 'p/q' otherwise."""
-    frac = Fraction(value)
-    return str(frac)
+    from fractions import Fraction  # off the start-up path of every subcommand
+
+    return str(Fraction(value))
 
 
 def parse_rational(text: str) -> Fraction:
+    from fractions import Fraction
+
     if not isinstance(text, str):
         raise DomainError(f"rational must be a string, got {text!r}")
     try:

@@ -13,8 +13,9 @@ Engines:
 psi_delcon and volumes.total_volume share one deletion-contraction engine,
 _delcon, with polynomial and with integer rules. It removes edges in an
 order fixed once per call by a breadth-first layering of the graph
-(_ordered_core), and strips pendant trees (_prune), which carry no
-variable, so its cost depends on the graph's structure, not on its edge ids.
+(_ordered_core), so its cost depends on the graph's structure, not on its
+edge ids. It strips pendant trees (_prune), which carry no variable, from
+the graph and from every deletion child.
 """
 
 from __future__ import annotations
@@ -135,31 +136,6 @@ def _prune(graph: Multigraph) -> Multigraph:
     )
 
 
-def _strips(graph: Multigraph, suspects) -> bool:
-    """Whether _prune would strip anything from graph, given that every vertex
-    outside suspects has at least two non-loop edges, or none and a loop.
-
-    A suspect's count of edge ends c is its non-loop degree plus two per
-    loop, so an even c of at least 2 clears it, a c below 2 condemns it, and
-    an odd c condemns it only when all but one of those ends are its loops.
-    The counts run over the edge tuples' columns, not edge by edge.
-    """
-    if not graph.edges:
-        return bool(suspects)
-    _, heads, tails = zip(*graph.edges)
-    pairs = None
-    for v in suspects:
-        c = heads.count(v) + tails.count(v)
-        if c < 2:
-            return True
-        if c % 2:
-            if pairs is None:
-                pairs = list(zip(heads, tails))
-            if c - 2 * pairs.count((v, v)) == 1:
-                return True
-    return False
-
-
 def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     """The deletion-contraction recursion, valued by the caller's three rules.
 
@@ -171,20 +147,14 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     the cost depends on the graph and not on its edge ids.
 
     Pendant trees are stripped by _prune, from the graph before the loop
-    and from every deletion child, where most leaves appear; a contraction
-    can leave one only at its merged vertex, which the bridge rule or a
-    later deletion child's pass removes. Every stripped edge is a bridge:
-    it lies in every maximal forest and in no monomial, so the minor
-    without it has the same polynomial and the same forest count, which is
-    the value the bridge rule would give. Dropping an edgeless vertex
-    changes neither.
-
-    A deletion child is pruned only when _strips finds something to strip.
-    Each frame carries its minor's suspects, the only vertices that may have
-    one non-loop edge, or none and no loop: none for a pruned graph, the
-    merged vertex added by a contraction, the loop's vertex by a loop
-    deletion, and the deleted edge's endpoints by a deletion. A deletion
-    child is clean once checked or pruned, so it starts with none again.
+    and from every deletion child of an ordinary edge, where most leaves
+    appear. A leaf left at a contraction's merged vertex is removed either
+    by the bridge rule or by a later deletion child's pass. Every stripped
+    edge is a bridge: it lies in every maximal forest and in no monomial,
+    so the minor without it has the same polynomial and the same forest
+    count, which is the value the bridge rule would give. Dropping an
+    edgeless vertex changes neither. So pruning never decides the answer,
+    only the number of steps.
 
     Repeated minors are shared through memo, keyed on the minor's vertex and
     edge tuples as they stand. The key is canonical for the labelled minor:
@@ -199,11 +169,11 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     pop, and valued from their memo entries when it is popped again.
     """
     root = _ordered_core(graph)
-    # a frame is (graph, None, suspects) until expanded, then (key, plan, ()),
-    # whose plan keeps the children's keys but not the child graphs
-    stack: list = [(root, None, ())]
+    # a frame is (graph, None) until expanded, then (key, plan), whose plan
+    # keeps the children's keys but not the child graphs
+    stack: list = [(root, None)]
     while stack:
-        item, plan, suspects = stack.pop()
+        item, plan = stack.pop()
         if plan is None:
             key = (item.vertices, item.edges)
             if key in memo:
@@ -211,29 +181,20 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
             if not item.edges:
                 memo[key] = empty
                 continue
-            e, head, tail = item.edges[0]
+            e = item.edges[0].id
             kind = item.classify_edge(e)
-            if kind == "loop":
-                deleted = item.delete(e)
-                stack.append((key, (e, kind, (deleted.vertices, deleted.edges)), ()))
-                stack.append((deleted, None, suspects if head in suspects else (*suspects, head)))
-                continue
-            # the merged vertex keeps the smaller id
-            keep, drop = (head, tail) if head < tail else (tail, head)
-            merged = (*(v for v in suspects if v != keep and v != drop), keep) if suspects else (keep,)
-            if kind == "bridge":
+            if kind == "ordinary":
+                deleted = _prune(item.delete(e))
                 contracted = item.contract(e)
-                stack.append((key, (e, kind, (contracted.vertices, contracted.edges)), ()))
-                stack.append((contracted, None, merged))
+                keys = ((deleted.vertices, deleted.edges), (contracted.vertices, contracted.edges))
+                stack.append((key, (e, kind, keys)))
+                stack.append((contracted, None))
+                stack.append((deleted, None))
                 continue
-            deleted = item.delete(e)
-            if _strips(deleted, (*suspects, head, tail)):
-                deleted = _prune(deleted)
-            contracted = item.contract(e)
-            keys = ((deleted.vertices, deleted.edges), (contracted.vertices, contracted.edges))
-            stack.append((key, (e, kind, keys), ()))
-            stack.append((contracted, None, merged))
-            stack.append((deleted, None, ()))
+            # one child: a loop is deleted, a bridge contracted
+            child = item.delete(e) if kind == "loop" else item.contract(e)
+            stack.append((key, (e, kind, (child.vertices, child.edges))))
+            stack.append((child, None))
         else:
             e, kind, keys = plan
             if kind == "loop":
@@ -286,41 +247,41 @@ def matrix_tree_dual(graph: Multigraph, weights: Mapping[str, Fraction]) -> Frac
     of all x_e equals the forest-complement sum. Loops drop out of the
     Laplacian but their variables still multiply every monomial.
 
-    Computed exactly: with A = P * L the reduced block of A has entries that
-    are signed sums of products of all-but-one weight, so after clearing one
-    common denominator the determinant is a fraction-free integer problem,
-    and the answer is det(A_reduced) / P^(n-2).
+    Computed over the integers. Rational weights are scaled by the lcm d of
+    their denominators, since Psi(d x) = d^betti1 Psi(x). Each row of the
+    reduced Laplacian is then scaled by the product s_v of the weights of
+    the non-loop edges at its vertex v, which makes every entry an integer,
+    and Psi = P * det(scaled rows) / prod s_v is one exact division.
     """
     if not graph.is_connected():
         raise DomainError("matrix_tree_dual requires a connected graph")
     check_keys(weights, graph.edge_ids, "weight")
-    w: dict[str, Fraction] = {}
+    w = {}
     for eid, x in weights.items():
         if not isinstance(x, Fraction):
-            x = Fraction(check_int(x, f"weight for {eid!r}"))
+            x = check_int(x, f"weight for {eid!r}")
         if x <= 0:
             raise DomainError(f"weight for {eid!r} must be positive")
         w[eid] = x
-    prod = Fraction(1)
-    for x in w.values():
-        prod *= x
+    d = math.lcm(*(x.denominator for x in w.values()))
+    w = {eid: x.numerator * (d // x.denominator) for eid, x in w.items()}
     verts = sorted(graph.vertices)
-    n = len(verts)
-    if n <= 1:
-        return prod
     idx = {v: i for i, v in enumerate(verts)}
-    scaled = [[Fraction(0)] * n for _ in range(n)]
-    for e in graph.edges:
-        if e.head == e.tail:
-            continue
-        r = prod / w[e.id]
-        i, j = idx[e.head], idx[e.tail]
-        scaled[i][i] += r
-        scaled[j][j] += r
-        scaled[i][j] -= r
-        scaled[j][i] -= r
-    block = [row[1:] for row in scaled[1:]]
-    common = math.lcm(*(x.denominator for row in block for x in row)) if block else 1
-    ints = [[int(x * common) for x in row] for row in block]
-    det_block = Fraction(_det_bareiss(ints), common ** (n - 1))
-    return det_block / prod ** (n - 2)
+    links = [(w[eid], idx[head], idx[tail]) for eid, head, tail in graph.edges if head != tail]
+    scale = [1] * len(verts)
+    for x, i, j in links:
+        scale[i] *= x
+        scale[j] *= x
+    rows = [[0] * len(verts) for _ in verts]
+    for x, i, j in links:
+        for a, b in ((i, j), (j, i)):
+            r = scale[a] // x
+            rows[a][a] += r
+            rows[a][b] -= r
+    # the first vertex's row and column are the ones the reduction drops
+    det = _det_bareiss([row[1:] for row in rows[1:]])
+    psi, rest = divmod(math.prod(w.values()) * det, math.prod(scale[1:]))
+    assert rest == 0
+    # the exponent is betti1 of a connected graph; with no vertex there is
+    # no edge either, and then d is 1
+    return Fraction(psi, d ** (len(graph.edges) - len(graph.vertices) + 1))

@@ -69,11 +69,23 @@ def complete_graph(n: int) -> Multigraph:
 
 
 def grid_graph(rows: int, cols: int) -> Multigraph:
-    """rows x cols grid; horizontal edges first, then vertical, ids zero-padded."""
-    verts = [f"v{r}{c}" for r in range(rows) for c in range(cols)]
-    edges = [(f"v{r}{c + 1}", f"v{r}{c}") for r in range(rows) for c in range(cols - 1)]
-    edges += [(f"v{r + 1}{c}", f"v{r}{c}") for r in range(rows - 1) for c in range(cols)]
-    return Multigraph(verts, [Edge(f"e{k:02d}", h, t) for k, (h, t) in enumerate(edges, 1)])
+    """rows x cols grid; horizontal edges first, then vertical, ids zero-padded.
+
+    Grids under 10 x 10 keep the ids v{r}{c} and e01, e02, ..., which pinned
+    counts rest on. A larger grid names its vertices v{r}_{c}, so they stay
+    distinct, and pads its edge ids to the width of the edge count, so id
+    order is the order of creation."""
+    large = rows >= 10 or cols >= 10
+    sep = "_" if large else ""
+
+    def v(r, c):
+        return f"v{r}{sep}{c}"
+
+    verts = [v(r, c) for r in range(rows) for c in range(cols)]
+    edges = [(v(r, c + 1), v(r, c)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(v(r + 1, c), v(r, c)) for r in range(rows - 1) for c in range(cols)]
+    width = len(str(len(edges))) if large else 2
+    return Multigraph(verts, [Edge(f"e{k:0{width}d}", h, t) for k, (h, t) in enumerate(edges, 1)])
 
 
 def disjoint_union(a: Multigraph, b: Multigraph) -> Multigraph:

@@ -154,6 +154,28 @@ def test_point_count(capsys):
     assert doc["forest_count"] == 3
 
 
+def test_point_count_counts_forests_once(capsys, monkeypatch):
+    """The forest count is read back from the point count, so one CLI
+    point-count call runs the deletion-contraction engine once."""
+    from hyperkirch import volumes
+
+    delcon = volumes._delcon
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return delcon(*args, **kwargs)
+
+    monkeypatch.setattr(volumes, "_delcon", counted)
+    code, out, _ = invoke(capsys, "point-count", "--graph", CYCLE3, "--q", "5")
+    assert code == 0
+    assert json.loads(out) == {"betti1": 1, "forest_count": 3, "point_count": 15, "q": 5}
+    assert len(calls) == 1
+    code, out, _ = invoke(capsys, "point-count", "--graph", CYCLE3, "--q", "1")
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == "q must be an integer >= 2"
+
+
 def test_tamagawa(capsys):
     code, out, _ = invoke(
         capsys, "tamagawa", "--graph", THETA, "--weights", '{"e1":2,"e2":3,"e3":5}'
@@ -394,21 +416,24 @@ def test_psi_and_volume_refuse_k9_before_the_engine(capsys):
 
 
 # Runs each argument vector through cli.run in one fresh interpreter, after
-# dropping every hyperkirch module the previous vector loaded, and prints
-# whether the bare interpreter had dataclasses and, per vector, the exit code
-# and the hyperkirch modules (and dataclasses) loaded by then.
+# dropping every hyperkirch module and fractions that the previous vector
+# loaded, and prints which watched modules the bare interpreter had and, per
+# vector, the exit code and the hyperkirch and watched modules loaded by then.
 _LOADED_MODULES = """
 import contextlib, io, sys
-bare = "dataclasses" in sys.modules
+watched = ("dataclasses", "fractions")
+bare = [n for n in watched if n in sys.modules]
 out = {}
 for label, argv in VECTORS:
     for name in [n for n in sys.modules if n.partition(".")[0] == "hyperkirch"]:
         del sys.modules[name]
+    if "fractions" not in bare:
+        sys.modules.pop("fractions", None)
     from hyperkirch import cli
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(argv)
     out[label] = (code, sorted(n for n in sys.modules
-                               if n.partition(".")[0] == "hyperkirch" or n == "dataclasses"))
+                               if n.partition(".")[0] == "hyperkirch" or n in watched))
 print(repr((bare, out)))
 """
 
@@ -416,8 +441,9 @@ print(repr((bare, out)))
 def test_each_subcommand_loads_only_what_it_runs():
     """One child process, so one interpreter start for every subcommand.
     fragment and a usage error load no library module beyond graphs and io,
-    psi loads no stability, and no subcommand loads dataclasses unless the
-    bare interpreter already had it."""
+    psi loads no stability, no subcommand loads dataclasses, and fragment,
+    tamagawa, stability, generic, strata and a usage error load no
+    fractions, each unless the bare interpreter already had it."""
     ones = json.dumps({"e1": 1, "e2": 1, "e3": 1})
     eta = '{"u": -1, "v": 1}'
     vectors = [
@@ -444,10 +470,12 @@ def test_each_subcommand_loads_only_what_it_runs():
     assert set(loaded) == {label for label, _ in vectors}
     for label, (code, modules) in loaded.items():
         assert code == (2 if label == "usage-error" else 0), label
-        assert bare or "dataclasses" not in modules, label
+        assert "dataclasses" in bare or "dataclasses" not in modules, label
+    for label in ("fragment", "tamagawa", "stability", "generic", "strata", "usage-error"):
+        assert "fractions" in bare or "fractions" not in loaded[label][1], label
     core = ["hyperkirch", "hyperkirch.cli", "hyperkirch.graphs", "hyperkirch.io"]
-    assert loaded["fragment"][1] == core
-    assert loaded["usage-error"][1] == core
+    assert [n for n in loaded["fragment"][1] if n not in bare] == core
+    assert [n for n in loaded["usage-error"][1] if n not in bare] == core
     assert "hyperkirch.stability" not in loaded["psi"][1]
     assert "hyperkirch.volumes" not in loaded["psi"][1]
     assert "hyperkirch.kirchhoff" not in loaded["strata"][1]

@@ -288,3 +288,15 @@ def test_named_builders():
     assert cycle_graph(2).betti1() == 1
     assert path_graph(4).betti1() == 0
     assert brute_component_count(path_graph(4)) == 1
+
+
+def test_grid_graph_ids_beyond_ten_rows():
+    """From 10 rows or columns on, vertex names carry a separator and edge
+    ids are padded to the edge count's width, so they stay distinct and
+    sort in creation order; smaller grids keep their ids."""
+    g = grid_graph(12, 12)
+    assert len(g.vertices) == 144 and len(g.edges) == 264
+    assert list(g.edge_ids) == sorted(g.edge_ids)
+    small = grid_graph(3, 4)
+    assert small.vertices[:5] == ("v00", "v01", "v02", "v03", "v10")
+    assert small.edge_ids[:2] == ("e01", "e02")

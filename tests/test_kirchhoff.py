@@ -34,7 +34,7 @@ from hyperkirch import (
     total_volume,
 )
 from hyperkirch import kirchhoff
-from hyperkirch.kirchhoff import _delcon, _ordered_core, _prune, _split_terms, _strips, _times_x
+from hyperkirch.kirchhoff import _delcon, _ordered_core, _prune, _split_terms, _times_x
 
 
 def test_theta_polynomial_frozen():
@@ -420,20 +420,19 @@ def test_pruning_agrees_with_brute_force():
         assert total_volume(g) == brute_forest_count(g)
 
 
-def test_engine_prunes_only_where_something_is_stripped(monkeypatch):
-    """_delcon skips a deletion child's prune pass exactly when the pass
-    would strip nothing: every pass after the root's strips something, and
-    pruning every deletion child instead takes the same delete and contract
-    steps to the same count. K5, K6 and the 3x4 grid take 149, 763 and 124
-    steps either way; the seeded graphs carry pendant trees, loops at leaves
-    and isolated vertices, and their contractions leave leaves at merged
-    vertices."""
+def test_engine_prunes_to_a_fixed_point(monkeypatch):
+    """Every _prune pass the engine makes, the root's and each deletion
+    child's, leaves nothing for a second pass to strip, and the count still
+    matches brute force. K5, K6 and the 3x4 grid take 149, 763 and 124
+    delete and contract steps; the seeded graphs carry pendant trees, loops
+    at leaves and isolated vertices, and their contractions leave leaves at
+    merged vertices."""
     steps = _count_steps(monkeypatch)
-    stripping = []
+    outputs = []
 
     def watched(graph, prune=_prune):
         out = prune(graph)
-        stripping.append(out is not graph)
+        outputs.append(out)
         return out
 
     monkeypatch.setattr(kirchhoff, "_prune", watched)
@@ -443,15 +442,20 @@ def test_engine_prunes_only_where_something_is_stripped(monkeypatch):
         core = random_connected_multigraph(rng, 4, rng.randint(3, 8))
         graphs.append(_with_pendant_trees(rng, core))
     for i, g in enumerate(graphs):
-        monkeypatch.setattr(kirchhoff, "_strips", _strips)
         steps[0] = 0
-        stripping.clear()
-        count = total_volume(g)
-        assert all(stripping[1:])  # the first pass is _ordered_core's, on the root
-        skipped = steps[0]
-        monkeypatch.setattr(kirchhoff, "_strips", lambda graph, suspects: True)
-        steps[0] = 0
-        assert total_volume(g) == count
-        assert steps[0] == skipped
+        outputs.clear()
+        assert total_volume(g) == brute_forest_count(g)
+        assert outputs and all(_prune(out) is out for out in outputs)
         if i < 3:
-            assert skipped == (149, 763, 124)[i]
+            assert steps[0] == (149, 763, 124)[i]
+
+
+def test_matrix_tree_dual_on_the_weighted_8x8_grid():
+    """Row scaling keeps the Laplacian's entries small, so the 8x8 grid
+    (64 vertices, 112 edges) agrees with the cycle Gram determinant."""
+    g = grid_graph(8, 8)
+    w = {e: i % 5 + 1 for i, e in enumerate(sorted(g.edge_ids))}
+    value = matrix_tree_dual(g, w)
+    assert value == psi_det(g, w) and value.denominator == 1
+    half = {e: Fraction(x, 2) for e, x in w.items()}
+    assert matrix_tree_dual(g, half) == Fraction(value, 2 ** g.betti1())
