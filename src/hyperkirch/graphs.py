@@ -252,22 +252,26 @@ class Multigraph:
         A non-loop edge is a bridge iff its endpoints are not joined by the
         other edges, which one union-find pass over them decides.
         """
-        e = self.edge(edge_id)
-        if e.head == e.tail:
+        _, head, tail = self.edge(edge_id)
+        if head == tail:
             return "loop"
         parent = {v: v for v in self.vertices}
-        for x in self.edges:
-            if x.id != edge_id:
-                a, b = _find(parent, x.head), _find(parent, x.tail)
+        for x, a, b in self.edges:
+            if x != edge_id:
+                # _find on both ends, written out: this runs for every edge of every minor
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
                 if a != b:
                     parent[a] = b
-        if _find(parent, e.head) != _find(parent, e.tail):
+        if _find(parent, head) != _find(parent, tail):
             return "bridge"
         return "ordinary"
 
     def delete(self, edge_id: str) -> "Multigraph":
         self.edge(edge_id)
-        return Multigraph._minor(self.vertices, tuple(e for e in self.edges if e.id != edge_id))
+        return Multigraph._minor(self.vertices, tuple([e for e in self.edges if e.id != edge_id]))
 
     def contract(self, edge_id: str) -> "Multigraph":
         """Contract a non-loop edge, merging its endpoints into the smaller id."""
@@ -275,13 +279,13 @@ class Multigraph:
         if e.head == e.tail:
             raise LoopContractionError(f"edge {edge_id!r} is a loop and cannot be contracted")
         keep, drop = (e.head, e.tail) if e.head < e.tail else (e.tail, e.head)
-        vs = tuple(v for v in self.vertices if v != drop)
-        es = tuple(
+        vs = tuple([v for v in self.vertices if v != drop])
+        es = tuple([
             x if x.head != drop and x.tail != drop
             else Edge(x.id, keep if x.head == drop else x.head, keep if x.tail == drop else x.tail)
             for x in self.edges
             if x.id != edge_id
-        )
+        ])
         return Multigraph._minor(vs, es)
 
     # forests and cycles

@@ -16,17 +16,26 @@ order fixed once per call by a breadth-first layering of the graph
 (_ordered_core), so its cost depends on the graph's structure, not on its
 edge ids. It strips pendant trees (_prune), which carry no variable, from
 the graph and from every deletion child.
+
+psi_delcon's rules carry a polynomial as a tuple of int bitmasks, one per
+monomial. Psi has 0/1 coefficients, and in x_e Psi(G - e) + Psi(G / e)
+only the first branch's monomials contain x_e (Bogner and Weinzierl,
+Feynman graph polynomials, 2010), so a split is a concatenation that
+never merges two monomials.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .graphs import DomainError, Edge, Multigraph, charge, check_int, check_keys
 from .lattice import _det_bareiss, tau_matrix
 from .poly import MultilinearPoly
+
+if TYPE_CHECKING:  # annotations only: the CLI's psi runs without fractions
+    from fractions import Fraction
+
 
 def psi_enum(graph: Multigraph) -> MultilinearPoly:
     """Forest-complement polynomial by direct enumeration of maximal forests."""
@@ -206,22 +215,18 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     return memo[(root.vertices, root.edges)]
 
 
-def _times_x(e: str, terms: dict) -> dict:
-    return {mono | {e}: c for mono, c in terms.items()}
-
-
-def _split_terms(e: str, deleted: dict, contracted: dict) -> dict:
-    # monomials from the deleted branch all contain e, those from the
-    # contracted branch never do, so the union is collision free
-    return {**_times_x(e, deleted), **contracted}
-
-
 def psi_delcon(graph: Multigraph) -> MultilinearPoly:
     """Forest-complement polynomial by deletion and contraction.
 
     The edgeless minor is the constant 1, a loop e multiplies every monomial
     by x_e, and an ordinary edge e gives x_e * P(delete) + P(contract).
     total_volume is the same engine with integer rules.
+
+    The engine carries a polynomial as a tuple of masks, one per monomial,
+    bit i standing for the i-th edge of graph.edges; the constant 1 is (0,).
+    A loop ORs its bit into every mask. A split sets e's bit in the deleted
+    branch's masks and appends the contracted branch's, which lack it, so
+    every coefficient stays 1. The masks become frozensets once, at the end.
 
     The budget is charged the monomial count before the recursion starts:
     the maximal forest count, read off as the unit-weight Gram determinant
@@ -230,8 +235,21 @@ def psi_delcon(graph: Multigraph) -> MultilinearPoly:
     """
     loopless = Multigraph._minor(graph.vertices, tuple(e for e in graph.edges if e.head != e.tail))
     charge(psi_det(loopless, dict.fromkeys(loopless.edge_ids, 1)), "psi_delcon monomials")
-    terms = _delcon(graph, {}, {frozenset(): 1}, _times_x, _split_terms)
-    return MultilinearPoly.from_terms(frozenset(graph.edge_ids), terms)
+    ids = graph.edge_ids
+    bit = {eid: 1 << i for i, eid in enumerate(ids)}
+
+    def split(e, deleted, contracted=()):  # a loop is a split with nothing contracted
+        b = bit[e]
+        return (*[m | b for m in deleted], *contracted)
+
+    masks = _delcon(graph, {}, (0,), split, split)
+    # a monomial is the union of the frozensets of its mask's low and high
+    # halves, each decoded once: a large Psi has far fewer distinct halves
+    # than masks (6,750 against 100,352 on the 4x4 grid)
+    low = (1 << len(ids) // 2) - 1
+    halves = {m & low for m in masks} | {m & ~low for m in masks}
+    sets = {h: frozenset(eid for eid, b in bit.items() if h & b) for h in halves}
+    return MultilinearPoly.from_terms(ids, {sets[m & low] | sets[m & ~low]: 1 for m in masks})
 
 
 def psi_det(graph: Multigraph, weights: Mapping[str, int]) -> int:
@@ -253,6 +271,7 @@ def matrix_tree_dual(graph: Multigraph, weights: Mapping[str, Fraction]) -> Frac
     the non-loop edges at its vertex v, which makes every entry an integer,
     and Psi = P * det(scaled rows) / prod s_v is one exact division.
     """
+    from fractions import Fraction  # off the import of kirchhoff
     if not graph.is_connected():
         raise DomainError("matrix_tree_dual requires a connected graph")
     check_keys(weights, graph.edge_ids, "weight")

@@ -441,13 +441,15 @@ print(repr((bare, out)))
 def test_each_subcommand_loads_only_what_it_runs():
     """One child process, so one interpreter start for every subcommand.
     fragment and a usage error load no library module beyond graphs and io,
-    psi loads no stability, no subcommand loads dataclasses, and fragment,
-    tamagawa, stability, generic, strata and a usage error load no
-    fractions, each unless the bare interpreter already had it."""
+    psi loads no stability, no subcommand loads dataclasses, and psi
+    without --weights, fragment, tamagawa, stability, generic, strata and a
+    usage error load no fractions, each unless the bare interpreter already
+    had it."""
     ones = json.dumps({"e1": 1, "e2": 1, "e3": 1})
     eta = '{"u": -1, "v": 1}'
     vectors = [
         ("psi", ["psi", "--graph", THETA, "--method", "both", "--weights", ones]),
+        ("psi-unweighted", ["psi", "--graph", THETA, "--method", "both"]),
         ("tamagawa", ["tamagawa", "--graph", THETA, "--weights", ones]),
         ("volume", ["volume", "--graph", THETA, "--weights", ones, "--q", "2"]),
         ("total-volume", ["total-volume", "--graph", THETA, "--oracle", "--p", "2", "--k", "2"]),
@@ -471,7 +473,8 @@ def test_each_subcommand_loads_only_what_it_runs():
     for label, (code, modules) in loaded.items():
         assert code == (2 if label == "usage-error" else 0), label
         assert "dataclasses" in bare or "dataclasses" not in modules, label
-    for label in ("fragment", "tamagawa", "stability", "generic", "strata", "usage-error"):
+    for label in ("psi-unweighted", "fragment", "tamagawa", "stability", "generic", "strata",
+                  "usage-error"):
         assert "fractions" in bare or "fractions" not in loaded[label][1], label
     core = ["hyperkirch", "hyperkirch.cli", "hyperkirch.graphs", "hyperkirch.io"]
     assert [n for n in loaded["fragment"][1] if n not in bare] == core

@@ -34,7 +34,7 @@ from hyperkirch import (
     total_volume,
 )
 from hyperkirch import kirchhoff
-from hyperkirch.kirchhoff import _delcon, _ordered_core, _prune, _split_terms, _times_x
+from hyperkirch.kirchhoff import _delcon, _ordered_core, _prune
 
 
 def test_theta_polynomial_frozen():
@@ -274,6 +274,31 @@ def test_engine_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def test_delcon_masks_past_64_edges_in_shuffled_order():
+    """psi_delcon gives an edge the bit of its position in graph.edges. On a
+    68-edge graph listed in shuffled order, so that position is not id
+    order, with a pendant leaf carrying a loop, two isolated vertices (one
+    looped) and two components, it matches psi_enum: every coefficient 1,
+    and the pruned pendant edge still among the variables."""
+    edges = []
+    for u, w, count in (("a", "b", 15), ("b", "c", 15), ("a", "c", 15), ("x", "y", 10)):
+        edges += [(u, w)] * count
+    edges += [("t", "a"), ("t", "t"), ("i2", "i2")] + [(v, v) for v in "abcxyabcxy"]
+    order = list(range(len(edges)))
+    random.Random(0x64).shuffle(order)
+    g = Multigraph(
+        ["a", "b", "c", "t", "i1", "i2", "x", "y"],
+        [Edge(f"e{i:02d}", *edges[i]) for i in order],
+    )
+    assert len(g.edge_ids) == 68 and list(g.edge_ids) != sorted(g.edge_ids)
+    p = psi_delcon(g)
+    # e55 is the pendant edge, pruned before the engine runs; e56 its leaf's loop
+    assert p.variables == frozenset(g.edge_ids)
+    assert all("e55" not in mono and "e56" in mono for mono in p.terms)
+    assert set(p.terms.values()) == {1} and len(p.terms) == 675 * 10
+    assert p.terms == psi_enum(g).terms
+
+
 def test_delcon_on_a_1200_edge_path():
     """A 1,200-edge path is one pendant tree, pruned in one pass without
     recursion before the engine's loop starts."""
@@ -285,11 +310,14 @@ def test_delcon_on_a_1200_loop_chain():
     interpreter's recursion limit still finishes: one vertex with 1,200
     loops is 1,200 nested loop deletions, which pruning cannot shorten.
     psi_delcon charges its monomial count on the graph without its loops,
-    not through a 1,200 x 1,200 Gram determinant, so it finishes too."""
+    not through a 1,200 x 1,200 Gram determinant, so it finishes too.
+    Under psi_delcon's mask rules the one monomial is the 1,200-bit mask
+    with every bit set."""
     g = Multigraph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, 1201)])
     assert total_volume(g) == 1
-    terms = _delcon(g, {}, {frozenset(): 1}, _times_x, _split_terms)
-    assert terms == {frozenset(g.edge_ids): 1}
+    bit = {eid: 1 << i for i, eid in enumerate(g.edge_ids)}
+    masks = _delcon(g, {}, (0,), lambda e, ms: tuple([m | bit[e] for m in ms]), None)
+    assert masks == ((1 << 1200) - 1,)
     start = time.perf_counter()
     assert psi_delcon(g).terms == {frozenset(g.edge_ids): 1}
     assert time.perf_counter() - start < 1.0

@@ -1,4 +1,8 @@
-"""The package namespace and the frozen record classes."""
+"""The package namespace, its imports and the frozen record classes."""
+
+import ast
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,24 @@ def test_names_are_looked_up_in_their_module_each_time(monkeypatch):
     monkeypatch.undo()
     assert hk.psi_det is original
     assert "psi_det" not in vars(hk)
+
+
+def test_package_imports_only_the_standard_library():
+    """Every import in the package's modules, at any depth of the file,
+    names a standard-library module or the package itself."""
+    files = sorted(Path(hk.__file__).parent.glob("*.py"))
+    assert len(files) >= 9
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "hyperkirch", (path.name, name)
 
 
 GRAM = IntMatrix(((3,),))
