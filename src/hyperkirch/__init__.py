@@ -61,55 +61,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "CharRange",
-    "ComponentGroup",
-    "DomainError",
-    "Edge",
-    "EdgeOrbit",
-    "IntMatrix",
-    "LocalFieldParams",
-    "LoopContractionError",
-    "Multigraph",
-    "MultilinearPoly",
-    "StabilityParam",
-    "StrataComplex",
-    "TropTorus",
-    "UnknownEdgeError",
-    "__version__",
-    "betti1",
-    "boundary",
-    "central_fibre_point_count",
-    "classify_edge",
-    "component_group",
-    "contract",
-    "cycle_basis",
-    "delete",
-    "delta_membership",
-    "enumeration_budget",
-    "equal",
-    "evaluate",
-    "fibre_volume",
-    "fragment",
-    "generic_orbit",
-    "is_generic",
-    "is_semistable",
-    "matrix_tree_dual",
-    "orbit_char_set",
-    "point_orbit",
-    "psi_delcon",
-    "psi_det",
-    "psi_enum",
-    "segment_orbit",
-    "smith_normal_form",
-    "spanning_forests",
-    "strata_complex",
-    "tau_matrix",
-    "total_volume",
-    "total_volume_padic_oracle",
-    "trop_volume_check",
-    "tropical_jacobian",
-    "valuation_stratum_measure",
-    "valuation_tail_measure",
-]
+__all__ = sorted([*_MODULE, "__version__"])

@@ -258,11 +258,7 @@ class Multigraph:
         parent = {v: v for v in self.vertices}
         for x, a, b in self.edges:
             if x != edge_id:
-                # _find on both ends, written out: this runs for every edge of every minor
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
+                a, b = _find(parent, a), _find(parent, b)
                 if a != b:
                     parent[a] = b
         if _find(parent, head) != _find(parent, tail):

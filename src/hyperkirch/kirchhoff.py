@@ -11,13 +11,13 @@ Engines:
   matrix_tree_dual   evaluation via the reciprocal-weight Laplacian
 
 psi_delcon and volumes.total_volume share one deletion-contraction engine,
-_delcon, with polynomial and with integer rules. It removes edges in an
+_delcon, with a polynomial and with an integer rule. It removes edges in an
 order fixed once per call by a breadth-first layering of the graph
 (_ordered_core), so its cost depends on the graph's structure, not on its
 edge ids. It strips pendant trees (_prune), which carry no variable, from
 the graph and from every deletion child.
 
-psi_delcon's rules carry a polynomial as a tuple of int bitmasks, one per
+psi_delcon's rule carries a polynomial as a tuple of int bitmasks, one per
 monomial. Psi has 0/1 coefficients, and in x_e Psi(G - e) + Psi(G / e)
 only the first branch's monomials contain x_e (Bogner and Weinzierl,
 Feynman graph polynomials, 2010), so a split is a concatenation that
@@ -145,13 +145,14 @@ def _prune(graph: Multigraph) -> Multigraph:
     )
 
 
-def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
-    """The deletion-contraction recursion, valued by the caller's three rules.
+def _delcon(graph: Multigraph, one, split):
+    """The deletion-contraction recursion, valued by the caller's one rule.
 
-    An edgeless minor is worth empty. Otherwise its first edge e is
-    classified: a loop is deleted and its value passed to loop(e, v), a
-    bridge is contracted, and an ordinary edge gives split(e, deleted,
-    contracted). The first edge is the least one in the elimination order
+    An edgeless minor is worth one. Otherwise its first edge e is
+    classified: an ordinary edge gives split(e, deleted, contracted), a
+    bridge is contracted and keeps its minor's value, and a loop is a split
+    with nothing contracted, split(e, deleted), since a loop lies in no
+    forest. The first edge is the least one in the elimination order
     that _ordered_core fixes once per call from the graph's structure, so
     the cost depends on the graph and not on its edge ids.
 
@@ -178,6 +179,7 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
     pop, and valued from their memo entries when it is popped again.
     """
     root = _ordered_core(graph)
+    memo: dict = {}
     # a frame is (graph, None) until expanded, then (key, plan), whose plan
     # keeps the children's keys but not the child graphs
     stack: list = [(root, None)]
@@ -188,7 +190,7 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
             if key in memo:
                 continue
             if not item.edges:
-                memo[key] = empty
+                memo[key] = one
                 continue
             e = item.edges[0].id
             kind = item.classify_edge(e)
@@ -207,7 +209,7 @@ def _delcon(graph: Multigraph, memo: dict, empty, loop, split):
         else:
             e, kind, keys = plan
             if kind == "loop":
-                memo[item] = loop(e, memo[keys])
+                memo[item] = split(e, memo[keys])
             elif kind == "bridge":
                 memo[item] = memo[keys]
             else:
@@ -220,7 +222,7 @@ def psi_delcon(graph: Multigraph) -> MultilinearPoly:
 
     The edgeless minor is the constant 1, a loop e multiplies every monomial
     by x_e, and an ordinary edge e gives x_e * P(delete) + P(contract).
-    total_volume is the same engine with integer rules.
+    total_volume is the same engine with an integer rule.
 
     The engine carries a polynomial as a tuple of masks, one per monomial,
     bit i standing for the i-th edge of graph.edges; the constant 1 is (0,).
@@ -242,7 +244,7 @@ def psi_delcon(graph: Multigraph) -> MultilinearPoly:
         b = bit[e]
         return (*[m | b for m in deleted], *contracted)
 
-    masks = _delcon(graph, {}, (0,), split, split)
+    masks = _delcon(graph, (0,), split)
     # a monomial is the union of the frozensets of its mask's low and high
     # halves, each decoded once: a large Psi has far fewer distinct halves
     # than masks (6,750 against 100,352 on the 4x4 grid)

@@ -170,11 +170,10 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
                     if a[t][j]:
                         swap_cols(j, t)
                         dirty = True
-            if dirty:
-                continue
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue
-            break
+            # with no swap, every row_sub cleared its entry of column t and
+            # col_sub never writes column t, so row and column t are clear
+            if not dirty:
+                break
         chained = True
         for i in range(t + 1, m):
             for j in range(t + 1, n):

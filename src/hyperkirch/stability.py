@@ -371,10 +371,15 @@ def strata_complex(
     times a cycle, which moves index vectors by N times that cycle, i.e. by
     a lattice translation. Scanning t over {0 .. N^2 - 1}^rank therefore
     meets every translation class; member vectors are the boxes around each
-    witness. Each fundamental cycle is the identity on its own non-forest
-    edge (chord), so a class is keyed by its canonical member, the one whose
-    chord coordinates all lie in [0, N). The displayed representative is the
-    member of least squared norm, then least lexicographically.
+    witness. Two index vectors u, v lie in one class iff u - v = N w for an
+    integer cycle w, that is an integer vector with d(w) = 0. The integer
+    cycles ker d in Z^E are the integral flow lattice (Bacher, de la Harpe
+    and Nagnibeda, Bull. SMF 125, 1997), spanned over Z by the fundamental
+    cycles: each is +1 on its own chord and 0 on the others, and a loop is a
+    cycle with boundary 0. So u, v lie in one class iff u = v mod N and
+    d(u) = d(v), and a class is keyed by its residues mod N and its
+    boundary. The displayed representative is the member of least squared
+    norm, then least lexicographically.
 
     The joint box of rep and rep + delta, delta in {-1, 0, 1}^E, is face delta
     of rep's box, so one feasibility check per face gives both the faces and
@@ -398,9 +403,6 @@ def strata_complex(
     cycles = graph.cycle_basis()
     r = len(cycles)
     basis = [[c[eid] for eid in eids] for c in cycles]
-    forest = graph.spanning_forest()
-    chord_pos = [eids.index(eid) for eid in sorted(set(eids) - forest)]
-    assert len(chord_pos) == r
 
     raw: set[tuple] = set()
     for t in itertools.product(range(N * N), repeat=r):
@@ -416,18 +418,20 @@ def strata_complex(
             raw.add(combo)
             charge(len(raw), "strata nodes", cap)
 
-    def canon(vec: tuple) -> tuple:
-        """Subtract N * floor(vec[chord] / N) times each chord's cycle."""
-        out = list(vec)
-        for pos, b in zip(chord_pos, basis):
-            lam = vec[pos] // N
-            for i in range(m):
-                out[i] -= N * lam * b[i]
-        return tuple(out)
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    ends = [(pos[e.head], pos[e.tail]) for e in map(graph.edge, eids)]
+
+    def key(vec: tuple) -> tuple:
+        """The class of vec: its residues mod N and its boundary."""
+        bd = [0] * len(pos)
+        for x, (head, tail) in zip(vec, ends):
+            bd[head] += x
+            bd[tail] -= x
+        return tuple(x % N for x in vec), tuple(bd)
 
     classes: dict[tuple, list[tuple]] = {}
     for vec in raw:
-        classes.setdefault(canon(vec), []).append(vec)
+        classes.setdefault(key(vec), []).append(vec)
 
     def norm2(vec: tuple) -> int:
         return sum(x * x for x in vec)
@@ -449,7 +453,7 @@ def strata_complex(
         min({descend(v) for v in group} | set(group), key=lambda v: (norm2(v), v))
         for group in classes.values()
     )
-    index = {canon(rep): i for i, rep in enumerate(reps)}
+    index = {key(rep): i for i, rep in enumerate(reps)}
 
     charge(len(reps) * 3**m, "strata face checks", cap)
     # Face delta of rep's box has hi_e = N (x_e + [d_e >= 0]) and
@@ -491,7 +495,7 @@ def strata_complex(
             feasible_faces.append((face, face.count(0)))
             if any(face):
                 b = tuple(x + d for x, d in zip(rep, face))
-                j = index[canon(b)]
+                j = index[key(b)]
                 back = tuple(x - d for x, d in zip(reps[j], face))
                 pairs.add(min((rep, b, i, j), (reps[j], back, j, i)))
         assert ((0,) * m, m) in feasible_faces

@@ -85,14 +85,14 @@ def fibre_volume(graph: Multigraph, nu: Mapping[str, int], q: int) -> Fraction:
 def total_volume(graph: Multigraph) -> int:
     """The integer total volume: the number of maximal spanning forests.
 
-    Runs the deletion-contraction engine of psi_delcon with integer rules:
-    the edgeless minor counts 1, a loop leaves the count unchanged, and an
-    ordinary edge adds the deleted and the contracted counts. It is checked
+    Runs the deletion-contraction engine of psi_delcon with an integer rule:
+    the edgeless minor counts 1, and a split adds the deleted and the
+    contracted counts, a loop contracting nothing. It is checked
     against routes that share no code with that engine: the brute-force
     forest count of the tests, the forest enumeration of psi_enum, and the
     residue-class sum of total_volume_padic_oracle.
     """
-    return _delcon(graph, {}, 1, lambda e, count: count, lambda e, d, c: d + c)
+    return _delcon(graph, 1, lambda e, d, c=0: d + c)
 
 
 def central_fibre_point_count(graph: Multigraph, q: int) -> int:
@@ -155,6 +155,18 @@ def total_volume_padic_oracle(
     p^((k-1) r) classes, t = p s with s in (Z/p^(k-1))^r. It sweeps the last
     coordinate of s as one column of valuations per edge, counts the
     distinct valuation vectors, and evaluates Psi once per vector.
+
+    The exhaustive estimate is exactly F (1 - p^-k)^r, F the forest count.
+    Psi(nu) sums, over the maximal forests T, the product of nu_e over the r
+    edges outside T. The fundamental cycle matrix is totally unimodular, and
+    its r x r minor on those edges is nonsingular, since a cycle that
+    vanishes off T is supported on a forest and so is 0. That minor is
+    therefore unimodular, and s -> (sum_i s_i c_i[e]) for e outside T is a
+    bijection of (Z/p^(k-1))^r. Over the kept classes T's monomial thus sums
+    to the r-th power of the sum of valuation(w) over Z/p^(k-1), which is
+    (p^k - 1) / (p - 1), as valuation(w) >= j holds for p^(k-j) values of w,
+    j = 1 .. k. The factor (p-1)^r p^(-k r) turns F ((p^k - 1) / (p - 1))^r
+    into F (1 - p^-k)^r. A bridge lies in every forest and in no monomial.
 
     Error bound: refining k to k+1 splits every class and can only raise a
     truncated valuation from k to k+1, so the estimates increase monotonically

@@ -318,6 +318,21 @@ def test_domain_error_record(capsys):
     assert "error" in json.loads(out)
 
 
+def test_argument_combinations_refused_as_domain_errors(capsys):
+    """Options that argparse accepts but that do not fit together: exit 1,
+    one JSON error record on stdout and nothing on stderr."""
+    cases = [
+        (("total-volume", "--oracle"), "--oracle needs --p and --k"),
+        (("total-volume", "--oracle", "--p", "1", "--k", "2"), "p = 1 is not prime"),
+        (("generic", "--n", "2"), "generic needs --eta unless --search is given"),
+        (("generic", "--n", "2", "--search", "-1"), "--search radius must be nonnegative"),
+    ]
+    for (command, *options), message in cases:
+        code, out, err = invoke(capsys, command, "--graph", THETA, *options)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {"type": "DomainError", "message": message}}
+
+
 def test_usage_errors(capsys):
     assert invoke(capsys, "volume", "--graph", LOOP, "--weights", "{}")[0] == 2
     assert invoke(capsys, "no-such-command")[0] == 2

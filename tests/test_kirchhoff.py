@@ -311,12 +311,12 @@ def test_delcon_on_a_1200_loop_chain():
     loops is 1,200 nested loop deletions, which pruning cannot shorten.
     psi_delcon charges its monomial count on the graph without its loops,
     not through a 1,200 x 1,200 Gram determinant, so it finishes too.
-    Under psi_delcon's mask rules the one monomial is the 1,200-bit mask
+    Under psi_delcon's mask rule the one monomial is the 1,200-bit mask
     with every bit set."""
     g = Multigraph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, 1201)])
     assert total_volume(g) == 1
     bit = {eid: 1 << i for i, eid in enumerate(g.edge_ids)}
-    masks = _delcon(g, {}, (0,), lambda e, ms: tuple([m | bit[e] for m in ms]), None)
+    masks = _delcon(g, (0,), lambda e, ms: tuple([m | bit[e] for m in ms]))
     assert masks == ((1 << 1200) - 1,)
     start = time.perf_counter()
     assert psi_delcon(g).terms == {frozenset(g.edge_ids): 1}

@@ -145,6 +145,8 @@ def test_tau_matrix_theta_explicit_basis():
 
 def test_tau_matrix_validation():
     g = theta_graph()
+    with pytest.raises(DomainError, match="^weight must be a mapping$"):
+        tau_matrix(g, [1, 2])
     with pytest.raises(DomainError):
         tau_matrix(g, {"e1": 1, "e2": 1})
     with pytest.raises(DomainError):

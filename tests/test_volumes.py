@@ -287,6 +287,35 @@ def test_oracle_matches_the_per_class_reference():
     assert disconnected and loops and bridges
 
 
+def test_oracle_exhaustive_estimate_is_exact():
+    """The exhaustive estimate is exactly F (1 - p^-k)^r, F the forest count
+    and r = betti1, as total_volume_padic_oracle's docstring proves: on
+    theta, C3, K4, the 2x3 grid and seeded multigraphs with loops, bridges
+    and several components, at each (p, k) whose p^((k-1) r) classes number
+    at most 5,000."""
+    rng = random.Random(0x0AC9)
+    graphs = [theta_graph(), cycle_graph(3), complete_graph(4), grid_graph(2, 3)]
+    for i in range(45):
+        g = random_multigraph(rng, rng.randint(1, 5), rng.randint(0, 9))
+        if i % 3 == 0:
+            g = disjoint_union(g, random_multigraph(rng, rng.randint(1, 3), rng.randint(0, 3)))
+        graphs.append(g)
+    betti, checks = set(), 0
+    for g in graphs:
+        r = g.betti1()
+        forests = total_volume(g)
+        for p, k in ((2, 3), (3, 2), (2, 1)):
+            if p ** ((k - 1) * r) <= 5000:
+                est, _ = total_volume_padic_oracle(g, LocalFieldParams(q=p, p=p, k=k))
+                assert est == forests * (1 - Fraction(1, p**k)) ** r
+                checks += 1
+                betti.add(r)
+    assert set(range(6)) <= betti and checks > 100
+    assert any(g.n_components() > 1 for g in graphs)
+    assert any(e.head == e.tail for g in graphs for e in g.edges)
+    assert any(g.classify_edge(e) == "bridge" for g in graphs for e in g.edge_ids)
+
+
 def test_oracle_repeat_determinism():
     g = theta_graph()
     params = LocalFieldParams(q=2, p=2, k=5)
