@@ -84,16 +84,19 @@ def graph_to_doc(graph: Multigraph) -> dict:
 
 
 def int_map_from_doc(doc, what: str) -> dict:
-    """Decode a JSON object of integers; values may be ints or digit strings."""
+    """Decode a JSON object of integers; values may be ints or digit strings.
+
+    A digit string is ASCII digits with an optional leading minus sign.
+    """
     if not isinstance(doc, dict):
         raise DomainError(f"{what} must be a JSON object")
     out = {}
     for key, value in doc.items():
         if isinstance(value, str):
-            try:
-                value = int(value, 10)
-            except ValueError:
+            # int() alone would also take "1_000", " 7 ", "+7" and non-ASCII digits
+            if not (value.isascii() and value.removeprefix("-").isdigit()):
                 raise DomainError(f"{what}[{key!r}] is not an integer: {value!r}")
+            value = int(value)
         out[key] = check_int(value, f"{what} for {key!r}")
     return out
 

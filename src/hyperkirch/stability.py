@@ -24,12 +24,11 @@ queries and the tests' oracle for the cut route.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from collections import deque
 from typing import Mapping
 
-from .graphs import DomainError, Multigraph, _record, charge, check_int, check_keys, int_map
+from .graphs import DomainError, Multigraph, _find, _record, charge, check_int, check_keys, int_map
 
 
 @_record
@@ -382,13 +381,31 @@ def strata_complex(
     norm, then least lexicographically.
 
     The joint box of rep and rep + delta, delta in {-1, 0, 1}^E, is face delta
-    of rep's box, so one feasibility check per face gives both the faces and
-    the adjacency. Each check is Hoffman's cut inequality on every bond side,
-    whose slack is a part fixed by rep plus a part fixed by delta; the face
-    parts are tabulated once per graph. The budget is charged the
-    (N^2)^rank witnesses and the 2^(V-1) bond candidates before the scan,
-    every node as it is found, and the len(nodes) * 3^E face checks before
-    the first one.
+    of rep's box, so the feasible faces give both the faces and the
+    adjacency. Face delta has lo_e = N (x_e + [delta_e > 0]) and
+    hi_e = N (x_e + [delta_e >= 0]). By Hoffman's theorem it holds a solution
+    iff, for every bond side S and its complement, -eta(S) <= sum_in hi -
+    sum_out lo; dividing by N and rounding, iff the -1s on edges into S and
+    the +1s on edges out of S number at most
+        room(S) = (N sum_e s_e x_e + eta(S)) // N + #(edges into S).
+    A 0 uses no room, so it gives every side its largest room at once: a
+    prefix of delta extends to a feasible face iff it does with zeros after
+    it, that is iff no room is below 0. Each node's faces are grown from such
+    prefixes only, one coordinate at a time in edge_order, by -1, 0, +1 in
+    turn, which is itertools.product order. Every kept prefix is the start of
+    a feasible face, so the work is at most E steps per face found, not 3^E
+    per node.
+
+    Face -delta of node j leads back to node i, so every adjacency entry is
+    found from both ends; it is kept from the end that displays it, the
+    smaller node, or for a self pair the smaller of rep + delta and
+    rep - delta.
+
+    The budget is charged the (N^2)^rank witnesses and the 2^(V-1) bond
+    candidates before the scan, then every node and every face as it is
+    found. A layer of prefixes never shrinks, since every prefix keeps its 0
+    child, so charging the faces found so far plus the current layer refuses
+    exactly when the faces in all exceed the cap.
     """
     _check_param(graph, param)
     N = param.N
@@ -455,62 +472,64 @@ def strata_complex(
     )
     index = {key(rep): i for i, rep in enumerate(reps)}
 
-    charge(len(reps) * 3**m, "strata face checks", cap)
-    # Face delta of rep's box has hi_e = N (x_e + [d_e >= 0]) and
-    # lo_e = N (x_e + [d_e > 0]) (-1: low endpoint, 0: segment, +1: high
-    # endpoint). By Hoffman's theorem it holds a solution iff, for every bond
-    # side S and its complement, -eta(S) <= sum_in hi - sum_out lo, that is
-    # -a(rep) <= f(delta) with a = N sum_e sign_e x_e + eta(S) and
-    # f = N (sum_in [d_e >= 0] - sum_out [d_e > 0]). Each side's f is tabulated
-    # once over the faces as bitmasks of the faces with f >= t, so a rep's
-    # feasible faces are one AND per side.
-    faces = list(itertools.product((-1, 0, 1), repeat=m))
+    # The rooms of a prefix are packed in one int, `width` bits per side, each
+    # field holding guard + room: a step subtracts 1 from the fields of the
+    # sides it uses, and a room that falls below 0 clears its guard bit. Such
+    # a prefix is dropped at once, so no field ever borrows from the next. A
+    # side loses at most one unit per coordinate, so a room is stored capped
+    # at m, which fits below the guard.
+    # each oriented side with the part of its room that no node changes:
+    # room(S) = eta(S) // N + #(edges into S) + sum_e s_e x_e
     sides = []
     for side, signs in bonds:
         eta_side = sum(param.eta[v] for v in side)
         for sg, eta_s in ((signs, eta_side), (tuple(-s for s in signs), -eta_side)):
-            f = [
-                N * sum((s > 0 and d >= 0) - (s < 0 and d > 0) for s, d in zip(sg, face))
-                for face in faces
-            ]
-            levels = sorted(set(f))
-            digits = f[::-1]
-            masks = [int("".join("1" if v >= t else "0" for v in digits), 2) for t in levels]
-            # masks[j]: the faces with f >= levels[j]; past the top level, none
-            sides.append((sg, eta_s, levels, masks + [0]))
-    # each feasible non-central face is an adjacency; the pair is stored
-    # translated so its first vector is a representative, whichever of the
-    # two ways round is smaller
+            sides.append((sg, eta_s // N + sg.count(1)))
+    width = m.bit_length() + 1
+    guard = 1 << (width - 1)
+    unit = [1 << width * k for k in range(len(sides))]
+    top = guard * sum(unit)
+    # per coordinate, the sides a -1 uses (the edge enters S) and a +1 uses
+    # (it leaves S)
+    minus = [sum(u for u, (sg, _) in zip(unit, sides) if sg[col] > 0) for col in range(m)]
+    plus = [sum(u for u, (sg, _) in zip(unit, sides) if sg[col] < 0) for col in range(m)]
+
     all_faces = []
-    pairs: set[tuple] = set()
+    pairs = []
+    found = 0
     for i, rep in enumerate(reps):
-        feasible = (1 << len(faces)) - 1
-        for sg, eta_s, levels, masks in sides:
-            a = N * sum(s * x for s, x in zip(sg, rep)) + eta_s
-            feasible &= masks[bisect.bisect_left(levels, -a)]
-        feasible_faces = []
-        for face, bit in zip(faces, bin(feasible)[:1:-1]):  # bit k is faces[k]
-            if bit == "0":
-                continue
-            feasible_faces.append((face, face.count(0)))
+        rooms = [base + sum(s * x for s, x in zip(sg, rep)) for sg, base in sides]
+        assert min(rooms, default=0) >= 0  # the central face is feasible
+        packed = sum((guard + min(room, m)) * u for u, room in zip(unit, rooms))
+        layer = [((), packed)]
+        for low, high in zip(minus, plus):
+            layer = [
+                (face + (d,), left)
+                for face, room in layer
+                for d, left in ((-1, room - low), (0, room), (1, room - high))
+                if left & top == top
+            ]
+            charge(found + len(layer), "strata faces", cap)
+        found += len(layer)
+        faces = []
+        for face, _ in layer:
+            faces.append((face, face.count(0)))
             if any(face):
                 b = tuple(x + d for x, d in zip(rep, face))
                 j = index[key(b)]
-                back = tuple(x - d for x, d in zip(reps[j], face))
-                pairs.add(min((rep, b, i, j), (reps[j], back, j, i)))
-        assert ((0,) * m, m) in feasible_faces
-        all_faces.append(tuple(feasible_faces))
+                if i < j or (i == j and b < tuple(x - d for x, d in zip(rep, face))):
+                    pairs.append((rep, b, i, j))
+        all_faces.append(tuple(faces))
 
-    adjacency = tuple((i, j, a, b) for a, b, i, j in sorted(pairs))
-    quotient = Multigraph(
-        [str(i) for i in range(len(reps))],
-        ((str(k), str(i), str(j)) for k, (i, j, _, _) in enumerate(adjacency)),
-    )
+    pairs.sort()
+    parent = {i: i for i in range(len(reps))}
+    for _, _, i, j in pairs:
+        parent[_find(parent, i)] = _find(parent, j)
 
     return StrataComplex(
         edge_order=tuple(eids),
         nodes=tuple(reps),
-        adjacency=adjacency,
+        adjacency=tuple((i, j, a, b) for a, b, i, j in pairs),
         faces=tuple(all_faces),
-        connected=quotient.is_connected(),
+        connected=len({_find(parent, i) for i in parent}) == 1,
     )

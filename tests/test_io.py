@@ -94,8 +94,9 @@ def test_int_map_decoding():
         int_map_from_doc({"a": True}, "weights")
     with pytest.raises(DomainError):
         int_map_from_doc({"a": 1.5}, "weights")
-    with pytest.raises(DomainError):
-        int_map_from_doc({"a": "three"}, "weights")
+    for bad in ("three", "1_000", " 7 ", "+7", "\u0663", "-", "--7", ""):
+        with pytest.raises(DomainError, match=r"weights\['a'\] is not an integer"):
+            int_map_from_doc({"a": bad}, "weights")
 
 
 def test_orbit_spec_decoding():

@@ -3,11 +3,14 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
 from conftest import (
+    complete_graph,
     cycle_graph,
+    grid_graph,
     loop_graph,
     path_graph,
     random_multigraph,
@@ -29,6 +32,7 @@ from hyperkirch import (
     segment_orbit,
     stability,
     strata_complex,
+    total_volume,
 )
 from hyperkirch.io import dump_json, strata_to_doc
 
@@ -602,20 +606,19 @@ def test_strata_bytes_pinned():
 
 
 def test_strata_budget_checked_before_any_flow(monkeypatch):
-    """The face scan runs no max-flow, and its len(nodes) * 3^m face checks
-    are charged exactly, before the first one."""
+    """The face scan runs no max-flow, and its faces are charged exactly, as
+    they are found: theta at N = 2 has 12 nodes of 3^2 faces each."""
 
     def no_flow(*args):
         raise AssertionError("max-flow called")
 
     monkeypatch.setattr(stability, "_box_flow_feasible", no_flow)
     param = StabilityParam({"u": -1, "v": 1}, 2)
-    with pytest.raises(BudgetExceededError, match="strata face checks: 324 needed"):
-        strata_complex(theta_graph(), param, budget=100)
-    with pytest.raises(BudgetExceededError, match="strata face checks: 324 needed"):
-        strata_complex(theta_graph(), param, budget=323)
-    sc = strata_complex(theta_graph(), param, budget=324)
-    assert len(sc.nodes) * 3 ** len(sc.edge_order) == 324
+    with pytest.raises(BudgetExceededError, match="strata faces: 108 needed"):
+        strata_complex(theta_graph(), param, budget=107)
+    sc = strata_complex(theta_graph(), param, budget=108)
+    assert len(sc.nodes) == 12
+    assert sum(map(len, sc.faces)) == 108
     # semistability still goes through the max-flow
     with pytest.raises(AssertionError, match="max-flow called"):
         is_semistable(theta_graph(), param, {e: generic_orbit() for e in ("e1", "e2", "e3")})
@@ -667,8 +670,9 @@ def test_cut_route_matches_max_flow():
 
 
 def test_strata_faces_match_max_flow():
-    """Every node's face list, read off the bond cut tables, is exactly the
-    faces of its box that the max-flow finds feasible, in product order."""
+    """Every node's face list, grown from the rooms of the bond sides, is
+    exactly the faces of its box that the max-flow finds feasible, in
+    product order."""
     cases = list(_tiling_cases()) + list(_random_strata_cases())
     cases.append((cycle_graph(4), {"v1": 1, "v2": 0, "v3": -1, "v4": 0}, 2))
     checked = 0
@@ -704,6 +708,79 @@ def test_strata_adjacency_reads_off_faces():
             assert (delta, delta.count(0)) in sc.faces[i]
             checked += 1
     assert checked > 0
+
+
+def _generic_strata_cases():
+    """Connected graphs with a generic eta, found by a seeded search: theta3-5,
+    C4, K4 and the 2x3 grid, then random multigraphs with betti1 <= 3."""
+    rng = random.Random(0x6E7)
+
+    def theta(k):
+        return Multigraph(["u", "v"], [Edge(f"e{i}", "v", "u") for i in range(1, k + 1)])
+
+    graphs = [(theta(3), 2), (theta(3), 3), (theta(4), 2), (theta(4), 3), (theta(5), 2)]
+    graphs += [(cycle_graph(4), 3), (cycle_graph(4), 4), (complete_graph(4), 4)]
+    graphs.append((grid_graph(2, 3), 3))
+    while len(graphs) < 36:
+        g = random_multigraph(rng, rng.randint(1, 4), rng.randint(1, 6))
+        if g.is_connected() and g.betti1() <= 3:
+            graphs.append((g, rng.randint(2, 4)))
+    for g, N in graphs:
+        verts = sorted(g.vertices)
+        for _ in range(200):
+            vals = [rng.randint(-2 * N, 2 * N) for _ in verts[1:]]
+            eta = dict(zip(verts, vals + [-sum(vals)]))
+            if is_generic(g, StabilityParam(eta, N)):
+                yield g, eta, N
+                break
+
+
+def test_generic_strata_identities():
+    """Strata's second route. For generic eta the complex has F N^r nodes
+    (F the forest count, r = betti1), 3^r faces per node and 3^r - 1
+    neighbours per node, and it is connected.
+
+    Proof sketch. Let A be the r-dimensional affine space of edge vectors c
+    with d(c) = -eta, cut by the hyperplanes c_e in NZ. A vertex of that
+    arrangement fixes the r chord coordinates of some maximal forest T to
+    multiples of N, and the chord coordinates are unimodular, so modulo N^2
+    times the cycle lattice (the translation the quotient uses) there are
+    N^r vertices per forest, F N^r in all. A point's set W of edges with
+    c_e in NZ is the Point edge set of a semistable assignment, so eta is
+    generic exactly when no such W disconnects the graph, that is when the
+    arrangement is simple. In a simple arrangement of bounded cells a generic
+    linear functional makes each cell's lowest vertex unique; each vertex is
+    the lowest vertex of exactly one of its 2^r cells, and of exactly
+    C(r, j) of its faces of codimension j. That gives the node count, and
+    nodes * C(r, j) 2^j faces of codimension j, nodes * 3^r in all. The
+    non-central faces are the adjacencies, each found from both of its ends.
+    """
+    cases = list(_generic_strata_cases())
+    assert len(cases) >= 30
+    assert sum(any(e.head == e.tail for e in g.edges) for g, _, _ in cases) >= 10
+    for g, eta, N in cases:
+        sc = strata_complex(g, StabilityParam(eta, N))
+        r = g.betti1()
+        assert len(sc.nodes) == total_volume(g) * N**r, (g.edges, eta, N)
+        assert sum(map(len, sc.faces)) == len(sc.nodes) * 3**r
+        assert 2 * len(sc.adjacency) == len(sc.nodes) * (3**r - 1)
+        assert sc.connected
+
+
+def test_generic_c12_strata_under_default_budget():
+    """Faces are found by output, not tabulated over 3^E: generic C12 at
+    N = 12 has 144 nodes of 3 faces each, where a 3^12 table per node would
+    need 76,527,504 checks."""
+    g = cycle_graph(12)
+    eta = {f"v{i}": 1 for i in range(1, 12)}
+    eta["v12"] = -11
+    start = time.perf_counter()
+    sc = strata_complex(g, StabilityParam(eta, 12))
+    assert time.perf_counter() - start < 1.0
+    assert len(sc.nodes) == 144
+    assert sum(map(len, sc.faces)) == 432
+    assert len(sc.adjacency) == 144
+    assert sc.connected
 
 
 def test_semistable_on_3000_edge_cycle():
