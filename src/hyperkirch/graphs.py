@@ -65,12 +65,21 @@ def int_map(mapping, ids: Collection, what: str, minimum: int | None = None) -> 
     return out
 
 
+# a refusal prints an int of at most this many bits exactly, and a longer one
+# as a lower bound: CPython refuses to print an int of over 4300 digits
+_EXACT_BITS = 1000
+
+
+def _amount(n: int) -> str:
+    return str(n) if n.bit_length() <= _EXACT_BITS else f"at least 2^{n.bit_length() - 1}"
+
+
 def charge(need: int, what: str, budget: int | None = None) -> int:
     """Resolve the cap through enumeration_budget and raise BudgetExceededError
     if need is over it. Returns the cap, so a later charge can pass it on."""
     cap = enumeration_budget(budget)
     if need > cap:
-        raise BudgetExceededError(f"{what}: {need} needed, budget is {cap}")
+        raise BudgetExceededError(f"{what}: {_amount(need)} needed, budget is {_amount(cap)}")
     return cap
 
 
@@ -440,9 +449,12 @@ class Multigraph:
         counts must assign a positive integer to every edge id. An edge with
         count 1 is kept unchanged; an edge with count n is replaced by a path
         of n edges through n - 1 fresh interior vertices, oriented from the
-        old tail to the old head. New ids are derived as '<edge>.<i>'.
+        old tail to the old head. New ids are derived as '<edge>.<i>'. The
+        result's edge count, the sum of the counts, is charged to the
+        enumeration budget before anything is built.
         """
         counts = int_map(counts, self._by_id, "fragmentation count", 1)
+        charge(sum(counts.values()), "fragment edges")
         vs = list(self.vertices)
         es: list[Edge] = []
         for e in self.edges:

@@ -396,16 +396,24 @@ def strata_complex(
     a feasible face, so the work is at most E steps per face found, not 3^E
     per node.
 
-    Face -delta of node j leads back to node i, so every adjacency entry is
-    found from both ends; it is kept from the end that displays it, the
-    smaller node, or for a self pair the smaller of rep + delta and
-    rep - delta.
+    Each adjacency entry is looked up once. Face delta of node i leads to
+    node j iff face -delta of node j leads back to node i: if rep_i + delta =
+    rep_j + N w with w an integer cycle, then rep_j - delta = rep_i - N w,
+    and subtracting N^2 w from a witness of the first joint box gives a
+    witness of the second, with the same boundary since d(w) = 0. So each
+    entry is met from its two ends by a delta and its negation, and exactly
+    one of them has -1 as its first nonzero entry; only those faces are
+    looked up. From node i such a face keeps (rep_i, rep_i + delta, i, j) if
+    i <= j, and otherwise the entry as the smaller node j displays it,
+    (rep_j, rep_j - delta, j, i). A self pair needs delta = N w, so it
+    occurs only at N = 1, and there the leading -1 keeps the smaller of
+    rep_i + delta and rep_i - delta.
 
     The budget is charged the (N^2)^rank witnesses and the 2^(V-1) bond
-    candidates before the scan, then every node and every face as it is
-    found. A layer of prefixes never shrinks, since every prefix keeps its 0
-    child, so charging the faces found so far plus the current layer refuses
-    exactly when the faces in all exceed the cap.
+    candidates before the scan, then every node once and every face as it
+    is found. A layer of prefixes never shrinks, since every prefix keeps
+    its 0 child, so charging the faces found so far plus the current layer
+    refuses exactly when the faces in all exceed the cap.
     """
     _check_param(graph, param)
     N = param.N
@@ -432,8 +440,9 @@ def strata_complex(
             n0 = x // N
             options.append((n0, n0 - 1) if x % N == 0 else (n0,))
         for combo in itertools.product(*options):
-            raw.add(combo)
-            charge(len(raw), "strata nodes", cap)
+            if combo not in raw:
+                raw.add(combo)
+                charge(len(raw), "strata nodes", cap)
 
     pos = {v: i for i, v in enumerate(graph.vertices)}
     ends = [(pos[e.head], pos[e.tail]) for e in map(graph.edge, eids)]
@@ -450,9 +459,6 @@ def strata_complex(
     for vec in raw:
         classes.setdefault(key(vec), []).append(vec)
 
-    def norm2(vec: tuple) -> int:
-        return sum(x * x for x in vec)
-
     def descend(vec: tuple) -> tuple:
         cur = list(vec)
         improved = True
@@ -460,14 +466,15 @@ def strata_complex(
             improved = False
             for b in basis:
                 for s in (1, -1):
-                    cand = [x + s * N * g for x, g in zip(cur, b)]
-                    if norm2(tuple(cand)) < norm2(tuple(cur)):
-                        cur = cand
+                    # |cur + s N b|^2 - |cur|^2 = N (2 s <cur, b> + N |b|^2)
+                    if 2 * s * sum(x * g for x, g in zip(cur, b)) + N * sum(g * g for g in b) < 0:
+                        cur = [x + s * N * g for x, g in zip(cur, b)]
                         improved = True
         return tuple(cur)
 
+    # a descent is its start or strictly shorter, so the group adds no candidate
     reps = sorted(
-        min({descend(v) for v in group} | set(group), key=lambda v: (norm2(v), v))
+        min(map(descend, group), key=lambda v: (sum(x * x for x in v), v))
         for group in classes.values()
     )
     index = {key(rep): i for i, rep in enumerate(reps)}
@@ -514,11 +521,15 @@ def strata_complex(
         faces = []
         for face, _ in layer:
             faces.append((face, face.count(0)))
-            if any(face):
+            # face -delta of node j leads back here: look up only the faces
+            # that lead with -1, and keep the entry from the smaller node
+            if max(face, key=abs, default=0) < 0:
                 b = tuple(x + d for x, d in zip(rep, face))
                 j = index[key(b)]
-                if i < j or (i == j and b < tuple(x - d for x, d in zip(rep, face))):
+                if i <= j:
                     pairs.append((rep, b, i, j))
+                else:
+                    pairs.append((reps[j], tuple(x - d for x, d in zip(reps[j], face)), j, i))
         all_faces.append(tuple(faces))
 
     pairs.sort()

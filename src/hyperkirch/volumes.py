@@ -17,19 +17,43 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping
 
-from .graphs import DomainError, Multigraph, _record, charge, check_int, int_map
+from .graphs import (
+    _EXACT_BITS,
+    DomainError,
+    Multigraph,
+    _record,
+    charge,
+    check_int,
+    enumeration_budget,
+    int_map,
+)
 from .kirchhoff import _delcon, psi_delcon
 from .lattice import tropical_jacobian
 
 
+# Miller-Rabin to the 13 prime bases 2 .. 41 decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Exact primality for n below _PRIME_LIMIT."""
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -42,7 +66,9 @@ class LocalFieldParams:
     k: int
 
     def __post_init__(self):
-        if not _is_prime(check_int(self.p, "p")):
+        if check_int(self.p, "p") >= _PRIME_LIMIT:
+            raise DomainError(f"p must be below {_PRIME_LIMIT}, where primality is decided exactly")
+        if not _is_prime(self.p):
             raise DomainError(f"p = {self.p} is not prime")
         q = check_int(self.q, "q", 2)
         while q % self.p == 0:
@@ -197,14 +223,19 @@ def total_volume_padic_oracle(
         raise DomainError("the residue enumeration oracle requires q = p")
     p, k = params.p, params.k
     r = graph.betti1()
-    pk = p**k
     if monte_carlo:
         check_int(samples, "samples", 2)
         charge(samples, "oracle samples", budget)
     else:
-        charge(p ** ((k - 1) * r), "oracle residue classes", budget)
+        # p^e >= 2^e, and 2^e > cap once e passes the cap's bit length; past
+        # b, which is also past exact printing, 2^b is charged in place of
+        # p^e, a lower bound the refusal prints as such, and p^e is not built
+        e = (k - 1) * r
+        b = max(enumeration_budget(budget).bit_length(), _EXACT_BITS)
+        charge(p**e if e <= b else 1 << b, "oracle residue classes", budget)
     if r == 0:
         return Fraction(1), Fraction(0)
+    pk = p**k
     forests = graph.spanning_forests(budget)
     cycles = graph.cycle_basis()
     # a bridge lies in no cycle and in every forest, so it has a zero row and

@@ -4,6 +4,9 @@ import ast
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 from conftest import cli_env, complete_graph, cycle_graph, path_graph, theta_graph
 from hyperkirch import cli, kirchhoff, stability
@@ -130,6 +133,56 @@ def test_volume_builds_psi_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "volume", "--graph", THETA, "--weights", weights, "--q", "1")
     assert code == 1
     assert json.loads(out)["error"]["message"] == "q must be an integer >= 2"
+
+
+def test_trop_builds_psi_once(capsys, monkeypatch):
+    """trop --q compares the one fibre volume with the covolume of the torus
+    it has already built, so the deletion-contraction engine runs once."""
+    delcon = kirchhoff._delcon
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return delcon(*args, **kwargs)
+
+    monkeypatch.setattr(kirchhoff, "_delcon", counted)
+    weights = '{"e1": 2, "e2": 3, "e3": 5}'
+    code, out, _ = invoke(capsys, "trop", "--graph", THETA, "--weights", weights, "--q", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["covolume"] == 31
+    assert doc["volume_check"] == {"agrees": True, "fibre_volume": "124/9", "q": 3}
+    assert len(calls) == 1
+
+
+ISOLATED_52 = json.dumps({"vertices": [f"v{i}" for i in range(52)], "edges": []})
+THETA2 = json.dumps(
+    {"vertices": ["u", "v"], "edges": [{"id": f"e{i}", "head": "u", "tail": "v"} for i in (1, 2)]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["total-volume", "--graph", THETA, "--oracle", "--p", "3", "--k", "10000"],
+        ["generic", "--graph", ISOLATED_52, "--n", "2", "--search", str(10**99 + 7)],
+        ["total-volume", "--graph", THETA2, "--oracle", "--k", "1",
+         "--p", str((10**12 + 39) * (10**12 + 61))],
+        ["total-volume", "--graph", THETA2, "--oracle", "--k", "1", "--p", str(10**30 + 57)],
+        ["fragment", "--graph", THETA2, "--counts", '{"e1": 10000000, "e2": 1}'],
+    ],
+    ids=["oracle-classes", "generic-search", "composite-p", "huge-p", "fragment"],
+)
+def test_oversized_requests_refused_fast(capsys, argv):
+    """Each request is refused with an error record, not a traceback, within
+    a second: a need too long to print, a prime test past trial division's
+    reach, and a fragmentation too large to build."""
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert err == ""
+    assert json.loads(out)["error"]["type"] in ("BudgetExceededError", "DomainError")
 
 
 def test_monte_carlo_samples_capped(capsys):

@@ -25,7 +25,7 @@ from hyperkirch import (
     UnknownEdgeError,
     enumeration_budget,
 )
-from hyperkirch.graphs import DEFAULT_BUDGET
+from hyperkirch.graphs import DEFAULT_BUDGET, charge
 
 
 def test_constructor_rejects_duplicates_and_dangling():
@@ -236,6 +236,25 @@ def test_fragment_counts_and_validation():
         g.fragment({"e1": 2, "e2": 1})
     with pytest.raises(DomainError):
         g.fragment({"e1": 0, "e2": 1, "e3": 1})
+    # the result's edge count is charged before anything is built
+    with pytest.raises(BudgetExceededError) as info:
+        g.fragment({"e1": 10**7, "e2": 1, "e3": 1})
+    assert str(info.value) == f"fragment edges: 10000002 needed, budget is {DEFAULT_BUDGET}"
+
+
+def test_charge_reports_a_long_need_as_a_lower_bound():
+    """An int of over 1000 bits is reported as 2^(bits - 1), a lower bound, so
+    a need past CPython's 4300-digit printing limit still gives a message."""
+    assert charge(10, "x", 10) == 10
+    with pytest.raises(BudgetExceededError) as info:
+        charge(2**1000 - 1, "x", 10)
+    assert str(info.value) == f"x: {2**1000 - 1} needed, budget is 10"
+    with pytest.raises(BudgetExceededError) as info:
+        charge(3**20000, "x", 10)
+    assert str(info.value) == "x: at least 2^31699 needed, budget is 10"
+    with pytest.raises(BudgetExceededError) as info:
+        charge(10**5000 + 1, "x", 10**5000)
+    assert str(info.value) == "x: at least 2^16609 needed, budget is at least 2^16609"
 
 
 def test_fragment_keeps_orientation_path():

@@ -624,6 +624,36 @@ def test_strata_budget_checked_before_any_flow(monkeypatch):
         is_semistable(theta_graph(), param, {e: generic_orbit() for e in ("e1", "e2", "e3")})
 
 
+def test_strata_on_edgeless_graphs():
+    """With no edge the one class is the empty vector: one node, its one
+    face, no adjacency entry, and a connected complex."""
+    for g in (Multigraph(["v"], []), Multigraph(["a", "b"], [])):
+        sc = strata_complex(g, StabilityParam({v: 0 for v in g.vertices}, 2))
+        assert sc.nodes == ((),)
+        assert sc.faces == ((((), 0),),)
+        assert sc.adjacency == ()
+        assert sc.connected
+
+
+def test_strata_charges_each_node_once(monkeypatch):
+    """One vertex with five loops at N = 3: each witness coordinate in 0 .. 8
+    gives the index 0, 1 or 2, and a multiple of 3 also the index below, so
+    the scan visits (6 + 3 * 2)^5 = 248,832 box combinations but meets only
+    the 4^5 = 1,024 vectors of {-1 .. 2}^5, and charges each once."""
+    charge = stability.charge
+    calls = []
+
+    def counted(need, what, budget=None):
+        calls.append(what)
+        return charge(need, what, budget)
+
+    monkeypatch.setattr(stability, "charge", counted)
+    g = Multigraph(["v"], [Edge(f"l{i}", "v", "v") for i in range(5)])
+    sc = strata_complex(g, StabilityParam({"v": 0}, 3))
+    assert calls.count("strata nodes") == 1024
+    assert len(sc.nodes) == 243
+
+
 def _hoffman_feasible(graph, eta, bounds):
     """The cut route: every component balanced, no empty box, and for each
     bond side S (and its complement) -eta(S) <= sum_in hi - sum_out lo."""
@@ -694,20 +724,26 @@ def test_strata_faces_match_max_flow():
 
 
 def test_strata_adjacency_reads_off_faces():
-    """Every adjacency entry (i, j, a, b) starts at node i and steps to a
-    neighbour b whose joint box with a is a feasible face of node i's box."""
+    """Every adjacency entry (i, j, a, b) starts at node i <= j and steps to a
+    neighbour b whose joint box with a is a feasible face of node i's box. A
+    self pair, which needs N = 1, shows the smaller of a + delta and
+    a - delta."""
     cases = list(_tiling_cases()) + list(_random_strata_cases())
-    checked = 0
+    cases += [(loop_graph(), {"v1": 0}, 1), (theta_graph(), {"u": 1, "v": -1}, 1)]
+    checked = selfs = 0
     for g, eta, N in cases:
         sc = strata_complex(g, StabilityParam(eta, N))
         for i, j, a, b in sc.adjacency:
-            assert 0 <= j < len(sc.nodes)
+            assert i <= j < len(sc.nodes)
             assert a == sc.nodes[i]
             delta = tuple(y - x for x, y in zip(a, b))
             assert set(delta) <= {-1, 0, 1} and any(delta)
             assert (delta, delta.count(0)) in sc.faces[i]
+            if i == j:
+                assert b < tuple(x - d for x, d in zip(a, delta))
+                selfs += 1
             checked += 1
-    assert checked > 0
+    assert checked > 0 and selfs > 0
 
 
 def _generic_strata_cases():

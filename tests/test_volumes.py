@@ -31,7 +31,7 @@ from hyperkirch import (
     valuation_stratum_measure,
     valuation_tail_measure,
 )
-from hyperkirch.volumes import _power_tail
+from hyperkirch.volumes import _PRIME_LIMIT, _is_prime, _power_tail
 
 
 def test_total_volume_loop_and_cycles():
@@ -162,6 +162,27 @@ def test_local_field_params_validation():
         LocalFieldParams(q=2, p=2, k=0)
 
 
+def test_primality_is_exact_and_fast():
+    """Miller-Rabin to the prime bases 2 .. 41 agrees with trial division,
+    rejects strong pseudoprimes to many of those bases, accepts an 18-digit
+    prime at once, and is refused from the first strong pseudoprime to all
+    13 bases, where it is no longer exact."""
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(_PRIME_LIMIT)  # a strong pseudoprime to every base
+    p = 10**18 + 3
+    assert LocalFieldParams(q=p, p=p, k=1).p == p
+    composite = (10**12 + 39) * (10**12 + 61)
+    with pytest.raises(DomainError, match=f"p = {composite} is not prime"):
+        LocalFieldParams(q=composite, p=composite, k=1)
+    with pytest.raises(DomainError, match="p must be below 3317044064679887385961981"):
+        LocalFieldParams(q=_PRIME_LIMIT, p=_PRIME_LIMIT, k=1)
+
+
 def test_oracle_loop_closed_form():
     """One loop: estimate is exactly 1 - 2^-k and the bound 2^-k is tight."""
     for k in range(1, 8):
@@ -224,7 +245,10 @@ def test_oracle_checks_its_inputs_on_an_acyclic_graph():
 
 def test_oracle_charges_the_classes_it_visits():
     """K4 (betti1 3) at p = 2, k = 7 visits 2^(6*3) = 262,144 kept classes,
-    under the default budget, though (p^k)^3 = 2,097,152 is over it."""
+    under the default budget, though (p^k)^3 = 2,097,152 is over it. At
+    p = 3, k = 10^7 the 3^(3 (k - 1)) classes are refused by comparing the
+    exponent with the cap's bit length, unbuilt, and reported by a lower
+    bound."""
     g = complete_graph(4)
     params = LocalFieldParams(q=2, p=2, k=7)
     est, bound = total_volume_padic_oracle(g, params)
@@ -233,6 +257,9 @@ def test_oracle_charges_the_classes_it_visits():
     with pytest.raises(BudgetExceededError) as info:
         total_volume_padic_oracle(g, params, budget=262_143)
     assert str(info.value) == "oracle residue classes: 262144 needed, budget is 262143"
+    with pytest.raises(BudgetExceededError) as info:
+        total_volume_padic_oracle(g, LocalFieldParams(q=3, p=3, k=10**7), budget=262_143)
+    assert str(info.value) == "oracle residue classes: at least 2^1000 needed, budget is 262143"
 
 
 def test_oracle_budget_reaches_forest_enumeration():
