@@ -5,9 +5,11 @@ character set is all integers), Segment(n) (characters in [N n, N (n+1)]),
 or Point(n) (the single character N n). An assignment is semistable for a
 vertex weight eta summing to zero when some integer edge vector c with
 boundary d(c) = -eta has every c_e inside the edge's character set; this is
-a circulation feasibility problem and is decided exactly by a max-flow
-reduction (the incidence matrix is totally unimodular, so bounds can be
-finite-boxed without losing solutions).
+a circulation feasibility problem. It is decided exactly: free edges are
+contracted, fixed edges and loops dropped, and vertices with at most two
+edges spliced out, which leaves a core where every vertex has three edges or
+more; the core goes to a max-flow (the incidence matrix is totally
+unimodular, so bounds can be finite-boxed without losing solutions).
 
 The weight eta is generic when no semistable assignment's Point edges
 disconnect the graph; on a connected graph, when N divides eta(S) for no
@@ -96,16 +98,22 @@ def delta_membership(k: int, m: int, N: int) -> str:
 
 def orbit_char_set(spec: Mapping[str, EdgeOrbit], N: int) -> dict[str, CharRange]:
     """Character interval of each edge orbit at box scale N."""
+    return {eid: CharRange(lo, hi) for eid, (lo, hi) in _orbit_bounds(spec, N).items()}
+
+
+def _orbit_bounds(spec: Mapping[str, EdgeOrbit], N: int) -> dict[str, tuple]:
+    """orbit_char_set's intervals as (lo, hi) pairs, without a record per edge."""
     check_int(N, "N", 1)
     out = {}
     for eid, orbit in spec.items():
         if not isinstance(orbit, EdgeOrbit):
             raise DomainError(f"orbit for {eid!r} is not an EdgeOrbit: {orbit!r}")
-        if orbit.kind == "generic":
-            out[eid] = CharRange(None, None)
+        kind = orbit.kind
+        if kind == "generic":
+            out[eid] = (None, None)
         else:
             lo = N * orbit.level
-            out[eid] = CharRange(lo, lo + N if orbit.kind == "segment" else lo)
+            out[eid] = (lo, lo + N if kind == "segment" else lo)
     return out
 
 
@@ -180,45 +188,184 @@ def _box_flow_feasible(
 ) -> bool:
     """Is there an integer edge vector c with d(c) = -eta and c_e in the box?
 
-    Bounds are closed intervals with None for an unbounded end. A feasible
-    vector, if one exists, can be taken with every coordinate bounded by the
-    total eta mass plus the mass of all finite bounds: decompose any solution
-    into source-to-sink paths plus circulations, and drop every circulation
-    that avoids all finite boxes. Unbounded ends are therefore replaced by
-    that finite cap and the rest is a standard feasible-flow instance.
+    Bounds are closed intervals with None for an unbounded end. c_e flows
+    from tail to head, and need(v) = -eta(v) is the net inflow v must
+    receive. An empty box has no point, so it makes the instance infeasible
+    at once. Otherwise the instance is shrunk by rules that keep its integer
+    solutions in correspondence: each solution of the smaller instance
+    extends to one of the larger, and each solution of the larger restricts
+    to one of the smaller, so feasibility is unchanged.
+
+    1. A free edge, both ends None, joining u and v: c_e is any integer, so
+       the equations of u and v may be replaced by their sum, since a
+       solution of the rest then fixes c_e by v's equation alone. Contract
+       the edge with graphs._find and add the needs; a parallel edge
+       becomes a loop. Free edges are contracted in the first pass over the
+       edges, as the rules below never make one (see 6).
+    2. A loop adds nothing to any boundary and its box is not empty: drop it.
+    3. A fixed edge, lo = hi, carries exactly lo: add lo to need(tail),
+       subtract it from need(head), and drop the edge.
+    4. A vertex with no edge left: its equation reads 0 = need(v).
+    5. A vertex v with one edge e, to u: v's equation forces e's inflow into
+       v to be d = need(v). Check d against the box, drop v and e, and add d
+       to need(u), since e's inflow into u was -d.
+    6. A vertex v with two edge ends, e1 to u1 and e2 to u2, whose inflows
+       into v are x in [L1, H1] and z in [L2, H2] (a box is negated when its
+       edge leaves v, and None stands for no bound). v's equation is
+       x + z = d = need(v), so z = d - x, and the pair is one variable x in
+       [max(L1, d - H2), min(H1, d - L2)]. Replace both edges by one edge
+       u1 -> u2 with that box, carrying x, and add d to need(u2), whose
+       inflow -z from e2 was x - d. The slope is -1, so an integer x gives
+       an integer z and back. An empty new box is infeasible; if u1 = u2 the
+       new edge is a loop (2). An end of the new box is None only when an
+       end of each old box is, so it is free only when both old edges were,
+       which (1) excludes; it may be fixed (3).
+
+    Each rule removes an edge or a vertex, and the vertices with at most two
+    edges are taken from a worklist, so the reduction takes linear time and
+    no recursion. Chains of degree-2 vertices, along which every augmenting
+    path would run, vanish; in the core that is left every vertex has at
+    least three edges.
+
+    A feasible instance has a solution with every coordinate bounded by
+    M = sum |eta| + the mass of all finite bounds. Take a solution of least
+    sum |c_e| and split it conformally into unit paths between vertices of
+    opposite need and unit cycles. There are at most sum |eta| paths.
+    Dropping a cycle moves each of its coordinates one step toward 0, so
+    each cycle passes an edge sitting at a finite end b of its box with
+    |c_e| = |b|, and at most |b| cycles pass it. Restricted to the core,
+    that solution keeps the bound, since each core edge carries plus or
+    minus one original coordinate. So the core's unbounded ends are replaced
+    by M + 1, and the rest is a standard feasible-flow instance.
     """
-    finite_mass = sum(abs(x) for x in eta.values())
-    for lo, hi in bounds.values():
+    cap_box = 1 + sum(map(abs, eta.values()))
+    cap_box += sum(map(abs, filter(None, itertools.chain.from_iterable(bounds.values()))))
+    verts = graph.vertices
+    n = len(verts)
+    pos = dict(zip(verts, range(n)))
+    need = [-eta[v] for v in verts]
+    parent = list(range(n))
+    merged = False
+    edges: list = []
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for eid, head, tail in graph.edges:
+        lo, hi = bounds[eid]
+        a, b = pos[tail], pos[head]
+        if lo is None:
+            if hi is None:  # rule 1
+                a, b = _find(parent, a), _find(parent, b)
+                if a != b:
+                    parent[a] = b
+                    merged = True
+                continue
+        elif hi is not None and lo >= hi:
+            if lo > hi:
+                return False
+            need[a] += lo  # rule 3
+            need[b] -= lo
+            continue
+        if a != b:  # rule 2 drops a loop
+            j = len(edges)
+            inc[a].append(j)
+            inc[b].append(j)
+            edges.append((a, b, lo, hi))
+    if merged:
+        for v in range(n):
+            root = _find(parent, v)
+            if root != v:
+                need[root] += need[v]
+                need[v] = 0
+        inc = [[] for _ in range(n)]
+        for j, (a, b, lo, hi) in enumerate(edges):
+            a, b = _find(parent, a), _find(parent, b)
+            if a == b:
+                edges[j] = None
+            else:
+                edges[j] = (a, b, lo, hi)
+                inc[a].append(j)
+                inc[b].append(j)
+
+    # degrees never grow, so a vertex on the stack has at most two edges
+    # unless it is gone already (degree -1); a dropped edge is None
+    deg = list(map(len, inc))
+    stack = [v for v in range(n) if deg[v] <= 2]
+    while stack:
+        v = stack.pop()
+        k = deg[v]
+        if k < 0:
+            continue
+        deg[v] = -1
+        d = need[v]
+        need[v] = 0
+        if k == 0:  # rule 4
+            if d:
+                return False
+            continue
+        # each live edge's other end and its box as an inflow into v
+        sides = []
+        for j in inc[v]:
+            edge = edges[j]
+            if edge is not None:
+                edges[j] = None
+                tail, head, lo, hi = edge
+                if head == v:
+                    sides.append((j, tail, lo, hi))
+                else:
+                    sides.append((j, head, None if hi is None else -hi, None if lo is None else -lo))
+        if k == 1:  # rule 5
+            ((_, u, lo, hi),) = sides
+            if (lo is not None and d < lo) or (hi is not None and d > hi):
+                return False
+            need[u] += d
+            deg[u] -= 1
+            if deg[u] <= 2:
+                stack.append(u)
+            continue
+        # rule 6: z = d - x, so x lies in d minus e2's box
+        (j1, u1, lo1, hi1), (_, u2, lo2, hi2) = sides
+        if hi2 is not None:
+            lo2, hi2 = d - hi2, None if lo2 is None else d - lo2
+        elif lo2 is not None:
+            lo2, hi2 = None, d - lo2
+        # x, the inflow from u1, lies in [lo1, hi1] and [lo2, hi2]
+        lo = lo2 if lo1 is None else lo1 if lo2 is None or lo1 > lo2 else lo2
+        hi = hi2 if hi1 is None else hi1 if hi2 is None or hi1 < hi2 else hi2
         if lo is not None and hi is not None and lo > hi:
             return False
-        finite_mass += abs(lo or 0) + abs(hi or 0)
-    cap_box = finite_mass + 1
-    verts = sorted(graph.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    source, sink = n, n + 1
+        need[u2] += d
+        if u1 == u2 or lo == hi:  # a loop (rule 2) or a fixed edge (rule 3)
+            if u1 != u2:
+                need[u1] += lo
+                need[u2] -= lo
+            for u in (u1, u2):
+                deg[u] -= 1
+                if deg[u] <= 2:
+                    stack.append(u)
+        else:
+            edges[j1] = (u1, u2, lo, hi)
+            inc[u2].append(j1)
+
+    # the core keeps its vertex numbers; every other vertex has need 0 and no arc
     arcs = []
-    excess = {v: -eta[v] for v in verts}
-    for e in graph.edges:
-        lo, hi = bounds[e.id]
-        if e.head == e.tail:
-            continue
-        lo = -cap_box if lo is None else lo
-        hi = cap_box if hi is None else hi
-        # flow variable f = c - lo ranges in [0, hi - lo] along tail -> head
-        arcs.append((idx[e.tail], idx[e.head], hi - lo))
-        excess[e.head] -= lo
-        excess[e.tail] += lo
-    need = 0
-    for v in verts:
-        b = excess[v]
+    for edge in edges:
+        if edge is not None:
+            tail, head, lo, hi = edge
+            lo = -cap_box if lo is None else lo
+            hi = cap_box if hi is None else hi
+            # flow variable f = c - lo ranges in [0, hi - lo] along tail -> head
+            arcs.append((tail, head, hi - lo))
+            need[head] -= lo
+            need[tail] += lo
+    source, sink = n, n + 1
+    total = 0
+    for v, b in enumerate(need):
         if b > 0:
             # v must absorb a net inflow of b: route the surplus to the sink
-            arcs.append((idx[v], sink, b))
-            need += b
+            arcs.append((v, sink, b))
+            total += b
         elif b < 0:
-            arcs.append((source, idx[v], -b))
-    return _max_flow(n + 2, arcs, source, sink) == need
+            arcs.append((source, v, -b))
+    return _max_flow(n + 2, arcs, source, sink) == total
 
 
 def is_semistable(
@@ -227,9 +374,7 @@ def is_semistable(
     """Does some integer character vector in the orbit's box bound -eta?"""
     _check_param(graph, param)
     check_keys(spec, graph.edge_ids, "orbit spec")
-    ranges = orbit_char_set(spec, param.N)
-    bounds = {eid: (r.lo, r.hi) for eid, r in ranges.items()}
-    return _box_flow_feasible(graph, param.eta, bounds)
+    return _box_flow_feasible(graph, param.eta, _orbit_bounds(spec, param.N))
 
 
 def _particular_solution(graph: Multigraph, eta: Mapping[str, int]) -> dict | None:

@@ -21,6 +21,7 @@ from .graphs import (
     _EXACT_BITS,
     DomainError,
     Multigraph,
+    _amount,
     _record,
     charge,
     check_int,
@@ -74,7 +75,7 @@ class LocalFieldParams:
         while q % self.p == 0:
             q //= self.p
         if q != 1:
-            raise DomainError(f"q = {self.q} is not a power of p = {self.p}")
+            raise DomainError(f"q = {_amount(self.q)} is not a power of p = {self.p}")
         check_int(self.k, "precision k", 1)
 
 
@@ -217,7 +218,12 @@ def total_volume_padic_oracle(
     The budget is charged the p^((k-1) r) kept classes the exhaustive sum
     visits, or the samples, and then the forest enumeration that lists the
     monomials of Psi. The first charge is made before the acyclic shortcut,
-    so a malformed budget or sample count is refused on every graph.
+    so a malformed budget or sample count is refused on every graph. On a
+    graph with cycles, a precision is refused with a DomainError, before p^k
+    or the tail is built, once 2^((k + r)(bitlen(p) - 1)), a lower bound for
+    p^(k + r), passes 2^1000, the longest int a refusal prints exactly: the
+    answer's size grows with p^(k + r), and past 4300 digits CPython does
+    not print an int at all.
     """
     if params.q != params.p:
         raise DomainError("the residue enumeration oracle requires q = p")
@@ -235,6 +241,12 @@ def total_volume_padic_oracle(
         charge(p**e if e <= b else 1 << b, "oracle residue classes", budget)
     if r == 0:
         return Fraction(1), Fraction(0)
+    # the bound's denominator is p^(k+1) and the estimate carries (p-1)^r or
+    # p^(k r), so the answer is refused where p^(k + r) has a lower bound
+    # past the ints printed exactly
+    bits = (k + r) * (p.bit_length() - 1)
+    if bits > _EXACT_BITS:
+        raise DomainError(f"oracle precision: p^(k + betti1) is at least 2^{bits}, over 2^{_EXACT_BITS}")
     pk = p**k
     forests = graph.spanning_forests(budget)
     cycles = graph.cycle_basis()

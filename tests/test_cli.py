@@ -170,13 +170,17 @@ THETA2 = json.dumps(
          "--p", str((10**12 + 39) * (10**12 + 61))],
         ["total-volume", "--graph", THETA2, "--oracle", "--k", "1", "--p", str(10**30 + 57)],
         ["fragment", "--graph", THETA2, "--counts", '{"e1": 10000000, "e2": 1}'],
+        ["total-volume", "--graph", THETA, "--oracle", "--monte-carlo", "--p", "3",
+         "--k", "3000000", "--samples", "2"],
     ],
-    ids=["oracle-classes", "generic-search", "composite-p", "huge-p", "fragment"],
+    ids=["oracle-classes", "generic-search", "composite-p", "huge-p", "fragment",
+         "monte-carlo-precision"],
 )
 def test_oversized_requests_refused_fast(capsys, argv):
     """Each request is refused with an error record, not a traceback, within
     a second: a need too long to print, a prime test past trial division's
-    reach, and a fragmentation too large to build."""
+    reach, a fragmentation too large to build, and an oracle precision whose
+    error bound could not be printed."""
     start = time.perf_counter()
     code, out, err = invoke(capsys, *argv)
     assert time.perf_counter() - start < 1

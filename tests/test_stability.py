@@ -831,3 +831,159 @@ def test_semistable_on_3000_edge_cycle():
     assert is_semistable(g, param, spec)
     spec["e1"] = spec["e2000"] = point_orbit(1)
     assert not is_semistable(g, param, spec)
+
+
+def _full_network_feasible(graph, eta, bounds):
+    """The unreduced feasible-flow network, kept as the reduction's oracle.
+
+    Every vertex and every edge but a loop goes to the max-flow, with the
+    unbounded ends capped by the total mass of eta and of the finite ends.
+    """
+    cap = sum(abs(x) for x in eta.values()) + 1
+    for lo, hi in bounds.values():
+        if lo is not None and hi is not None and lo > hi:
+            return False
+        cap += abs(lo or 0) + abs(hi or 0)
+    verts = sorted(graph.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    arcs = []
+    excess = {v: -eta[v] for v in verts}
+    for e in graph.edges:
+        lo, hi = bounds[e.id]
+        if e.head == e.tail:
+            continue
+        lo = -cap if lo is None else lo
+        hi = cap if hi is None else hi
+        arcs.append((idx[e.tail], idx[e.head], hi - lo))
+        excess[e.head] -= lo
+        excess[e.tail] += lo
+    total = 0
+    for v in verts:
+        if excess[v] > 0:
+            arcs.append((idx[v], n + 1, excess[v]))
+            total += excess[v]
+        elif excess[v] < 0:
+            arcs.append((n, idx[v], -excess[v]))
+    return stability._max_flow(n + 2, arcs, n, n + 1) == total
+
+
+def _random_box(rng):
+    """Free 30%, fixed 10%, half-bounded 20%, bounded, and now and then empty."""
+    lo = rng.randint(-3, 3)
+    roll = rng.random()
+    if roll < 0.3:
+        return None, None
+    if roll < 0.4:
+        return lo, lo
+    if roll < 0.5:
+        return lo, None
+    if roll < 0.6:
+        return None, lo
+    if roll < 0.995:
+        return lo, lo + rng.randint(1, 3)
+    return lo, lo - 1
+
+
+def test_reduction_matches_full_network():
+    """The reduced route and the unreduced network agree on 3,000 seeded
+    multigraphs of up to 12 vertices and 20 edges, with loops, parallel
+    edges, several components, and free, fixed, half-bounded, bounded and
+    empty boxes."""
+    rng = random.Random(0x5E41E5)
+    verdicts = {True: 0, False: 0}
+    seen = dict.fromkeys(("loop", "parallel", "disconnected", "empty"), 0)
+    for _ in range(3000):
+        g = random_multigraph(rng, rng.randint(1, 12), rng.randint(0, 20))
+        verts = sorted(g.vertices)
+        vals = [rng.randint(-2, 2) for _ in verts[1:]]
+        eta = dict(zip(verts, vals + [-sum(vals)]))
+        bounds = {eid: _random_box(rng) for eid in g.edge_ids}
+        verdict = stability._box_flow_feasible(g, eta, bounds)
+        assert verdict == _full_network_feasible(g, eta, bounds), (g.edges, eta, bounds)
+        verdicts[verdict] += 1
+        ends = [frozenset((e.head, e.tail)) for e in g.edges]
+        seen["loop"] += any(len(x) == 1 for x in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["disconnected"] += not g.is_connected()
+        seen["empty"] += any(hi is not None and lo is not None and lo > hi for lo, hi in bounds.values())
+    assert min(verdicts.values()) >= 500, verdicts
+    assert min(seen.values()) >= 100, seen
+
+
+def test_reduction_leaves_only_the_core(monkeypatch):
+    """A cycle reduces to nothing, so the max-flow gets no arc; on K4, where
+    every vertex has three edges and no box is free or fixed, every edge
+    stays an arc."""
+    arcs_seen = []
+    max_flow = stability._max_flow
+
+    def recorded(n, arcs, s, t):
+        arcs_seen.append([a for a in arcs if s not in a[:2] and t not in a[:2]])
+        return max_flow(n, arcs, s, t)
+
+    monkeypatch.setattr(stability, "_max_flow", recorded)
+    g = cycle_graph(50)
+    eta = dict.fromkeys(g.vertices, 0)
+    eta["v1"], eta["v25"] = 1, -1
+    assert stability._box_flow_feasible(g, eta, dict.fromkeys(g.edge_ids, (-1, 1)))
+    assert arcs_seen.pop() == []
+    k4 = complete_graph(4)
+    eta = dict.fromkeys(k4.vertices, 0)
+    assert stability._box_flow_feasible(k4, eta, dict.fromkeys(k4.edge_ids, (-1, 1)))
+    assert len(arcs_seen.pop()) == len(k4.edges)
+
+
+def _cycle_interval_verdict(n, param, spec):
+    """Semistability on cycle_graph(n) by intersecting integer intervals.
+
+    Edge e_i runs v_i -> v_(i+1), so d(c) = -eta reads c_(i+1) = c_i +
+    eta(v_(i+1)), and every solution is c_i = t + S_i with S_i the sum of
+    eta over v_2 .. v_i. Semistable iff some integer t puts every
+    coordinate in its orbit's interval.
+    """
+    N = param.N
+    lo_t, hi_t = None, None
+    s = 0
+    for i in range(1, n + 1):
+        if i > 1:
+            s += param.eta[f"v{i}"]
+        orbit = spec[f"e{i}"]
+        if orbit.kind == "generic":
+            continue
+        lo = N * orbit.level
+        hi = lo if orbit.kind == "point" else lo + N
+        lo_t = lo - s if lo_t is None else max(lo_t, lo - s)
+        hi_t = hi - s if hi_t is None else min(hi_t, hi - s)
+    return lo_t is None or lo_t <= hi_t
+
+
+@pytest.mark.parametrize("p_generic", [0.0, 0.2])
+def test_semistable_on_20000_edge_cycle(p_generic):
+    """Orbits drawn around a solution c = t + S on a 20,000-edge cycle, then
+    one Segment moved two levels off it: the first is semistable and the
+    second is not, as the interval test says, and each call takes under
+    half a second."""
+    n, N = 20000, 3
+    rng = random.Random(20000 + int(100 * p_generic))
+    g = cycle_graph(n)
+    vals = [rng.randint(-2, 2) for _ in range(n - 1)]
+    eta = dict(zip((f"v{i}" for i in range(1, n + 1)), vals + [-sum(vals)]))
+    param = StabilityParam(eta, N)
+    spec, s = {}, rng.randint(-N, N)
+    for i in range(1, n + 1):
+        if i > 1:
+            s += eta[f"v{i}"]
+        if rng.random() < p_generic:
+            spec[f"e{i}"] = generic_orbit()
+        else:
+            # c_i = s lies in [N l, N l + N] for l = s // N, and for l - 1 at the top
+            spec[f"e{i}"] = segment_orbit(s // N - (s % N == 0 and rng.random() < 0.5))
+    moved = dict(spec)
+    eid = next(e for e in sorted(spec, reverse=True) if spec[e].kind == "segment")
+    moved[eid] = segment_orbit(spec[eid].level + 2)
+    for orbits, expected in ((spec, True), (moved, False)):
+        assert _cycle_interval_verdict(n, param, orbits) is expected
+        start = time.perf_counter()
+        assert is_semistable(g, param, orbits) is expected
+        assert time.perf_counter() - start < 0.5

@@ -31,6 +31,7 @@ from hyperkirch import (
     valuation_stratum_measure,
     valuation_tail_measure,
 )
+from hyperkirch import volumes
 from hyperkirch.volumes import _PRIME_LIMIT, _is_prime, _power_tail
 
 
@@ -162,6 +163,16 @@ def test_local_field_params_validation():
         LocalFieldParams(q=2, p=2, k=0)
 
 
+def test_local_field_params_refuses_a_huge_q_in_words():
+    """A q of over 4300 digits is reported by a lower bound, not printed."""
+    with pytest.raises(DomainError) as info:
+        LocalFieldParams(q=6**6000, p=2, k=1)
+    assert str(info.value) == "q = at least 2^15509 is not a power of p = 2"
+    with pytest.raises(DomainError) as info:
+        LocalFieldParams(q=6, p=2, k=1)
+    assert str(info.value) == "q = 6 is not a power of p = 2"
+
+
 def test_primality_is_exact_and_fast():
     """Miller-Rabin to the prime bases 2 .. 41 agrees with trial division,
     rejects strong pseudoprimes to many of those bases, accepts an 18-digit
@@ -260,6 +271,25 @@ def test_oracle_charges_the_classes_it_visits():
     with pytest.raises(BudgetExceededError) as info:
         total_volume_padic_oracle(g, LocalFieldParams(q=3, p=3, k=10**7), budget=262_143)
     assert str(info.value) == "oracle residue classes: at least 2^1000 needed, budget is 262143"
+
+
+def test_oracle_refuses_a_precision_past_exact_printing(monkeypatch):
+    """At p^(k + betti1) past 2^1000 the Monte Carlo oracle is refused before
+    it draws a class or builds the tail; at 2^1000 it still answers."""
+    g = theta_graph()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the tail was built before the precision was refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(volumes, "_power_tail", never)
+        with pytest.raises(DomainError) as info:
+            total_volume_padic_oracle(g, LocalFieldParams(q=3, p=3, k=3_000_000), monte_carlo=True, samples=2)
+    assert str(info.value) == "oracle precision: p^(k + betti1) is at least 2^3000002, over 2^1000"
+    est, bound = total_volume_padic_oracle(g, LocalFieldParams(q=2, p=2, k=998), monte_carlo=True, samples=2)
+    assert est >= 0 and bound > 0
+    with pytest.raises(DomainError):
+        total_volume_padic_oracle(g, LocalFieldParams(q=2, p=2, k=999), monte_carlo=True, samples=2)
 
 
 def test_oracle_budget_reaches_forest_enumeration():
